@@ -26,7 +26,7 @@ import pytest
 
 from repro.core import MoveEngine, SearchState, TabuList, greedy_solution
 from repro.instances import gk_suite, mk_suite
-from repro.parallel import payload_nbytes
+from repro.parallel import SlaveReport, WireCodec
 
 #: The tracked-throughput instance: GK24, 25 constraints x 500 items — the
 #: largest Table-1 problem, so per-move cost is dominated by the candidate
@@ -94,7 +94,8 @@ def test_kernel_objective_recompute_reference(benchmark, big_instance, big_state
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_payload_serialization(benchmark, big_state):
     solution = big_state.snapshot()
-    nbytes = benchmark(payload_nbytes, solution)
+    report = SlaveReport(slave_id=0, best=solution)
+    nbytes = benchmark(WireCodec(solution.n_items).frame_nbytes, report)
     assert nbytes > 0
 
 

@@ -156,28 +156,13 @@ def report_key(r: SlaveReport):
     return (r.slave_id, r.seq_id, r.best, tuple(r.elite), r.evaluations, r.moves)
 
 
-def _transport_totals(backend) -> dict:
-    """Master-side transport counters (zeros for ring-less backends)."""
-    comms = [c for c in getattr(backend, "_comms", []) if c is not None]
-    return {
-        "pipe_payload_bytes": sum(
-            getattr(c, "pipe_payload_bytes", getattr(c, "bytes_sent", 0))
-            for c in comms
-        ),
-        "ring_overflows": sum(getattr(c, "ring_overflows", 0) for c in comms),
-        "n_workers": len(comms),
-        "transports": sorted(set(getattr(backend, "worker_transports", []))),
-    }
-
-
-def _time_rounds(backend, all_tasks, n_warmup: int, *, gk_number: int = GK_NUMBER):
+def _time_rounds(backend, all_tasks, n_warmup: int):
     """Run all rounds on ``backend``; time the post-warm-up ones.
 
     Returns (wall seconds over the timed rounds, per-round report keys for
-    the identity check, cumulative master blocked-wait seconds, transport
-    counter totals over every round including warm-up).
+    the identity check, cumulative master blocked-wait seconds).
     """
-    instance = gk_instance(gk_number)
+    instance = gk_instance(GK_NUMBER)
     backend.start(instance, TabuSearchConfig(nb_div=10_000))
     try:
         keys = []
@@ -189,7 +174,7 @@ def _time_rounds(backend, all_tasks, n_warmup: int, *, gk_number: int = GK_NUMBE
             keys.append([report_key(r) for r in backend.run_round(tasks)])
         wall = time.perf_counter() - t0
         master_wait = backend.phase_totals["master_wait"] - wait_before
-        return wall, keys, master_wait, _transport_totals(backend)
+        return wall, keys, master_wait
     finally:
         backend.shutdown()
 
@@ -219,7 +204,7 @@ def measure_ab(
     keys: dict[str, list] = {}
     for _ in range(max(1, repeats)):
         for label, factory in ((label_a, factory_a), (label_b, factory_b)):
-            wall, ks, wait, _stats = _time_rounds(factory(), all_tasks, n_warmup)
+            wall, ks, wait = _time_rounds(factory(), all_tasks, n_warmup)
             walls[label].append(wall)
             keys[label] = ks
             waits[label] = wait
@@ -264,99 +249,6 @@ def measure_multiprocessing(n_rounds: int, evals_per_round: int, repeats: int = 
         evals_per_round,
         repeats=repeats,
     )
-
-
-SHM_GK_NUMBER = 24  # GK24-25x500: the ISSUE-7 transport-gate instance
-
-
-def measure_shm(n_rounds: int, evals_per_round: int, repeats: int = 3) -> dict:
-    """shm rings + batched workers vs the PR-6 pipe baseline on GK24.
-
-    Four interleaved arms over identical tasks: a warm ``SerialBackend``
-    (the serialized compute floor — the part no transport can touch), the
-    PR-6 baseline (``pipe`` transport, one slave per worker), and the shm
-    transport at ``batch_k`` 4 and 8.  Reports must be bit-identical
-    across all four.
-
-    Derived figures:
-
-    * ``speedup_*`` — end-to-end mp rounds/sec vs the pipe baseline.  On a
-      single-CPU host this is bounded hard by the compute floor (all P
-      slaves' searches serialize onto one core), so the headline ``>= 3x``
-      target of the transport work shows up in the *overhead* figures
-      below rather than end-to-end.
-    * ``overhead_ratio_*`` — (pipe round wall − serial floor) /
-      (shm round wall − serial floor): the transport-owned share of the
-      round, which the doorbell+ring path actually shrinks.
-    * ``message_reduction`` — doorbell-carrying pipe messages per round,
-      pipe baseline over shm/batched (16 → 2 at P=8, K=8): the mechanical
-      ``>= 3x`` reduction in kernel round-trips.
-    * ``shm_pipe_payload_per_round`` — payload bytes that crossed a pipe
-      on the shm arm; the gate pins this to ~0 (doorbells only).
-    """
-    instance = gk_instance(SHM_GK_NUMBER)
-    n_warmup = 3
-    all_tasks = [
-        make_tasks(instance, r, evals_per_round) for r in range(n_warmup + n_rounds)
-    ]
-    arms = {
-        "serial": lambda: SerialBackend(N_SLAVES),
-        "pipe": lambda: MultiprocessingBackend(N_SLAVES, transport="pipe", batch_k=1),
-        "shm_k4": lambda: MultiprocessingBackend(N_SLAVES, transport="shm", batch_k=4),
-        "shm_k8": lambda: MultiprocessingBackend(N_SLAVES, transport="shm", batch_k=8),
-    }
-    walls: dict[str, list[float]] = {label: [] for label in arms}
-    keys: dict[str, list] = {}
-    stats: dict[str, dict] = {}
-    for _ in range(max(1, repeats)):
-        for label, factory in arms.items():
-            wall, ks, _wait, st = _time_rounds(
-                factory(), all_tasks, n_warmup, gk_number=SHM_GK_NUMBER
-            )
-            walls[label].append(wall)
-            keys[label] = ks
-            stats[label] = st
-    for label in ("pipe", "shm_k4", "shm_k8"):
-        if keys[label] != keys["serial"]:
-            raise AssertionError(f"{label} reports diverged from the serial floor")
-    best = {label: min(ws) for label, ws in walls.items()}
-    total_rounds = n_warmup + n_rounds
-    shm_transport_ok = stats["shm_k8"]["transports"] == ["shm"]
-    floor = best["serial"]
-    overhead = {label: best[label] - floor for label in ("pipe", "shm_k4", "shm_k8")}
-    # Doorbell-carrying messages per fault-free round: one task + one
-    # report per worker.
-    msgs = {
-        "pipe": 2 * stats["pipe"]["n_workers"],
-        "shm_k4": 2 * stats["shm_k4"]["n_workers"],
-        "shm_k8": 2 * stats["shm_k8"]["n_workers"],
-    }
-    return {
-        "instance": f"GK{SHM_GK_NUMBER:02d}",
-        "n_slaves": N_SLAVES,
-        "n_rounds": n_rounds,
-        "evals_per_round": evals_per_round,
-        "repeats": max(1, repeats),
-        "serial_rounds_per_sec": round(n_rounds / best["serial"], 2),
-        "pipe_rounds_per_sec": round(n_rounds / best["pipe"], 2),
-        "shm_k4_rounds_per_sec": round(n_rounds / best["shm_k4"], 2),
-        "shm_k8_rounds_per_sec": round(n_rounds / best["shm_k8"], 2),
-        "speedup_k4": round(best["pipe"] / best["shm_k4"], 3),
-        "speedup_k8": round(best["pipe"] / best["shm_k8"], 3),
-        "overhead_ratio_k4": round(overhead["pipe"] / max(overhead["shm_k4"], 1e-9), 2),
-        "overhead_ratio_k8": round(overhead["pipe"] / max(overhead["shm_k8"], 1e-9), 2),
-        "messages_per_round": msgs,
-        "message_reduction": round(msgs["pipe"] / msgs["shm_k8"], 1),
-        "pipe_payload_per_round": round(
-            stats["pipe"]["pipe_payload_bytes"] / total_rounds, 1
-        ),
-        "shm_pipe_payload_per_round": round(
-            stats["shm_k8"]["pipe_payload_bytes"] / total_rounds, 1
-        ),
-        "shm_ring_overflows": stats["shm_k8"]["ring_overflows"],
-        "shm_transport_engaged": shm_transport_ok,
-        "bit_identical": True,
-    }
 
 
 # --------------------------------------------------------------------- #
@@ -468,33 +360,11 @@ def measure(*, smoke: bool = False) -> dict:
         "smoke": smoke,
         "serial": measure_serial(n_rounds, evals, repeats),
         "multiprocessing": measure_multiprocessing(n_rounds, evals, repeats),
-        "shm": measure_shm(n_rounds, evals, repeats),
         "dead_rank_gather": measure_dead_rank_gather(),
         "straggler": measure_straggler_attribution(),
         "recorder": measure_recorder_overhead(n_rounds, evals),
         "python": platform.python_version(),
     }
-
-
-def render_shm(sh: dict) -> list[str]:
-    return [
-        f"shm transport ({sh['instance']}, P={sh['n_slaves']}, "
-        f"{sh['evals_per_round']} evals/round):",
-        f"{'mp pipe k=1 (PR-6)':<26} {sh['pipe_rounds_per_sec']:>10.2f}",
-        f"{'mp shm k=4':<26} {sh['shm_k4_rounds_per_sec']:>10.2f}"
-        f"   -> x{sh['speedup_k4']:.2f}",
-        f"{'mp shm k=8':<26} {sh['shm_k8_rounds_per_sec']:>10.2f}"
-        f"   -> x{sh['speedup_k8']:.2f}",
-        f"{'serial compute floor':<26} {sh['serial_rounds_per_sec']:>10.2f}",
-        f"transport-owned overhead: x{sh['overhead_ratio_k8']:.2f} smaller at k=8 "
-        f"(x{sh['overhead_ratio_k4']:.2f} at k=4)",
-        f"doorbell messages/round: {sh['messages_per_round']['pipe']} pipe -> "
-        f"{sh['messages_per_round']['shm_k8']} shm/batched "
-        f"(x{sh['message_reduction']:.0f} reduction, gate: >= 3)",
-        f"payload bytes through pipes/round: {sh['pipe_payload_per_round']:.0f} "
-        f"pipe -> {sh['shm_pipe_payload_per_round']:.0f} shm (gate: ~0), "
-        f"ring overflows: {sh['shm_ring_overflows']}",
-    ]
 
 
 def render(data: dict) -> str:
@@ -526,41 +396,8 @@ def render(data: dict) -> str:
             f"x {data['recorder']['events_per_round']} events/round = "
             f"{data['recorder']['overhead_fraction'] * 100:.4f}% of a "
             f"{data['recorder']['round_wall_ms']:.1f}ms round (gate: < 1%)",
-            "",
-            *render_shm(data["shm"]),
         ]
     )
-
-
-def check_shm(sh: dict, *, smoke: bool) -> None:
-    """Transport-owned gates for the shm/batched path.
-
-    End-to-end rounds/sec is compute-bound on a single-core host, so the
-    hard >= 3x gate lives on the figures the transport actually owns:
-    doorbell message count and payload bytes through pipes.  The wall-time
-    floors below are deliberately modest sanity checks, not the headline.
-    """
-    assert sh["bit_identical"], "shm/batched reports diverged from serial floor"
-    if not sh["shm_transport_engaged"]:
-        # Host without POSIX shared memory: the auto-fallback ran the whole
-        # arm over pipes, so the shm-owned gates are vacuous here.
-        return
-    assert sh["message_reduction"] >= 3.0, (
-        f"doorbell message reduction {sh['message_reduction']} below 3x"
-    )
-    assert sh["shm_pipe_payload_per_round"] <= 64.0, (
-        f"{sh['shm_pipe_payload_per_round']} payload bytes/round leaked into pipes"
-    )
-    assert sh["shm_ring_overflows"] == 0, (
-        f"{sh['shm_ring_overflows']} ring overflows fell back in-band"
-    )
-    if not smoke:
-        assert sh["speedup_k8"] >= 1.05, (
-            f"shm k=8 end-to-end speedup {sh['speedup_k8']} regressed below pipe"
-        )
-        assert sh["overhead_ratio_k8"] >= 1.3, (
-            f"transport-owned overhead ratio {sh['overhead_ratio_k8']} below 1.3"
-        )
 
 
 def check(data: dict, *, smoke: bool) -> None:
@@ -576,7 +413,6 @@ def check(data: dict, *, smoke: bool) -> None:
     assert overhead < 0.01, (
         f"disabled recorder costs {overhead * 100:.3f}% of a round (gate: 1%)"
     )
-    check_shm(data["shm"], smoke=smoke)
 
 
 @pytest.mark.benchmark(group="round-overhead")
@@ -595,11 +431,8 @@ def main(argv: list[str] | None = None) -> None:
     data = measure(smoke=args.smoke)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(data, indent=2) + "\n")
-    shm_out = args.out.parent / "BENCH_shm.json"
-    shm_out.write_text(json.dumps(data["shm"], indent=2) + "\n")
     print(render(data))
     print(f"-> {args.out}")
-    print(f"-> {shm_out}")
     check(data, smoke=args.smoke)
 
 

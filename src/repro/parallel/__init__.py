@@ -19,27 +19,13 @@ from .message import (
     payload_nbytes,
 )
 from .runtime import SlaveRuntime
-from .shm import (
-    RingEmpty,
-    RingFull,
-    ShmComm,
-    ShmRing,
-    TornFrameError,
-    WireCodec,
-    resolve_transport,
-    shm_available,
-)
+from .shm import FrameError, ShmComm, WireCodec
 from .slave import execute_task
 
 __all__ = [
-    "ShmRing",
     "ShmComm",
     "WireCodec",
-    "RingEmpty",
-    "RingFull",
-    "TornFrameError",
-    "resolve_transport",
-    "shm_available",
+    "FrameError",
     "SlaveRuntime",
     "Backend",
     "SerialBackend",

@@ -19,12 +19,15 @@ reaches, and makes the fleet *elastic*:
   (degraded-mode ISP/SGP, exponential backoff, monotone incumbent).
 
 Wire protocol (DESIGN.md §5.10): length-prefixed frames ``<tag:u8, len:u32>``
-followed by ``len`` payload bytes.  Task and report payloads are the PR 7
-:class:`~repro.parallel.shm.WireCodec` *batch* envelopes — byte-identical
-to the shm/pipe carriers, so the byte ledgers agree across transports.
-Control frames (HELLO, problem REBIND) are pickled, exactly like the
-control plane of :class:`~repro.parallel.shm.ShmComm`; the transport is
-therefore only safe on trusted networks, same as multiprocessing pipes.
+followed by ``len`` payload bytes.  Task and report payloads are
+:class:`~repro.parallel.shm.WireCodec` *batch* envelopes — the frames the
+multiprocessing backend ships, so the byte ledgers agree across backends.
+Control frames are plain data: HELLO is a size-capped JSON object, REBIND
+is the :func:`~repro.parallel.shm.encode_problem` frame (JSON header plus
+raw array bytes), and every decoder rejects a frame whose lengths disagree
+with its content.  A member whose report frame fails to decode is buried
+(``fault_counters["bad_frame"]``).  There is no authentication or
+encryption: bind beyond localhost only on a trusted network.
 
 The master's socket I/O runs on one asyncio loop in a daemon thread; the
 blocking backend methods exchange events with it through a queue, so the
@@ -35,9 +38,9 @@ synchronous and drop-in for both master pipelines and the service pool.
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import os
-import pickle
 import queue
 import socket
 import struct
@@ -59,11 +62,11 @@ from .comm import CommTimeout
 from .faults import FaultPlan
 from .message import REBIND_TAG, RESULT_TAG, STOP_TAG, TASK_TAG, SlaveReport, SlaveTask
 from .runtime import SlaveRuntime
-from .shm import WireCodec
+from .shm import FrameError, WireCodec, decode_problem, encode_problem
 
 __all__ = ["SocketBackend", "run_worker", "HELLO_TAG", "HEARTBEAT_TAG"]
 
-#: Worker registration frame (worker -> master, pickled info dict).
+#: Worker registration frame (worker -> master, JSON object).
 HELLO_TAG = 10
 #: Liveness beacon (worker -> master, empty payload).  A worker's heartbeat
 #: thread keeps these flowing even while the main thread is deep in a
@@ -73,9 +76,29 @@ HEARTBEAT_TAG = 11
 #: Length-prefixed frame header: tag (u8) + payload length (u32).
 _WIRE_HEADER = struct.Struct("<BI")
 
-#: Hard ceiling on a single frame (a REBIND carries a pickled instance;
+#: Hard ceiling on a single frame (a REBIND carries a whole instance;
 #: anything past this is a corrupt or hostile stream, not a message).
 _MAX_FRAME_NBYTES = 1 << 28
+
+#: Ceiling on a HELLO frame, read before the peer is a member.
+_MAX_HELLO_NBYTES = 4096
+
+
+def _hello(name: str) -> bytes:
+    return json.dumps({"name": name, "pid": os.getpid()}).encode()
+
+
+def _parse_hello(payload: bytes) -> dict | None:
+    """The HELLO info object, or ``None`` when the frame is not one."""
+    try:
+        info = json.loads(payload)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if not isinstance(info, dict) or not isinstance(info.get("name", ""), str):
+        return None
+    if not isinstance(info.get("pid", 0), int):
+        return None
+    return info
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -117,8 +140,7 @@ class SocketBackend:
     connected right now.  Each member owns a contiguous shard of slave ids,
     recomputed whenever membership changes; one batched task frame per
     member per round carries its shard's tasks (the worker's single warm
-    arena serves the whole shard by identity override, exactly like the
-    ``batch_k > 1`` multiprocessing layout).
+    arena serves the whole shard by identity override).
 
     Membership state machine per worker: CONNECTED (HELLO accepted) ->
     BOUND (problem shipped) -> serving; any read error, closed socket or
@@ -159,6 +181,8 @@ class SocketBackend:
         self._instance: MKPInstance | None = None
         self._config: TabuSearchConfig | None = None
         self._codec: WireCodec | None = None
+        #: the REBIND frame of the bound problem (sent to every joiner)
+        self._problem_frame = b""
 
         # IO loop plumbing (created by listen()).
         self._thread: threading.Thread | None = None
@@ -262,12 +286,13 @@ class SocketBackend:
         reason = "closed"
         try:
             hello = await asyncio.wait_for(
-                self._read_frame(reader), timeout=self.start_timeout_s
+                self._read_frame(reader, _MAX_HELLO_NBYTES),
+                timeout=self.start_timeout_s,
             )
             tag, payload = hello
-            if tag != HELLO_TAG:
-                return
-            info = pickle.loads(payload)
+            info = _parse_hello(payload) if tag == HELLO_TAG else None
+            if info is None:
+                return  # not a worker: refuse without ever joining it
             wid = self._next_wid
             self._next_wid += 1
             self._writers[wid] = writer
@@ -313,11 +338,13 @@ class SocketBackend:
     _next_wid = 0
 
     @staticmethod
-    async def _read_frame(reader: Any) -> tuple[int, bytes]:
+    async def _read_frame(
+        reader: Any, limit: int = _MAX_FRAME_NBYTES
+    ) -> tuple[int, bytes]:
         head = await reader.readexactly(_WIRE_HEADER.size)
         tag, length = _WIRE_HEADER.unpack(head)
-        if length > _MAX_FRAME_NBYTES:
-            raise RuntimeError(f"frame of {length} bytes exceeds the wire limit")
+        if length > limit:
+            raise RuntimeError(f"frame of {length} bytes exceeds the {limit}-byte limit")
         payload = await reader.readexactly(length) if length else b""
         return tag, payload
 
@@ -375,31 +402,52 @@ class SocketBackend:
                 self.joins += 1
                 self.fault_counters["worker_join"] += 1
                 if self._instance is not None:
-                    self._send(
-                        wid,
-                        REBIND_TAG,
-                        pickle.dumps((self._instance, self._config)),
-                    )
+                    self._send(wid, REBIND_TAG, self._problem_frame)
             elif kind == "leave":
                 _, wid, reason = event
-                member = self._members.pop(wid, None)
-                if member is not None:
-                    self._needs_reshard = True
-                    self._dead_slaves.update(member.slave_ids)
-                    self.fault_counters["worker_lost"] += 1
-                    if reason == "heartbeat-timeout":
-                        self.fault_counters["heartbeat_timeout"] += 1
+                self._leave(wid, reason)
             elif kind == "report":
                 _, wid, payload = event
-                if self._codec is None:
-                    continue  # report raced a shutdown/rebind; drop it
-                reports, sizes = self._codec.decode_report_batch(payload)
+                if self._codec is None or wid not in self._members:
+                    continue  # raced a shutdown/rebind or a burial; drop it
+                try:
+                    reports, sizes = self._codec.decode_report_batch(payload)
+                except FrameError:
+                    self.fault_counters["bad_frame"] += 1
+                    self._leave(wid, "bad-frame")
+                    self._disconnect(wid)
+                    continue
                 self.bytes_received += sum(sizes)
                 for report, nbytes in zip(reports, sizes):
                     self.last_report_nbytes[report.slave_id] = (
                         self.last_report_nbytes.get(report.slave_id, 0) + nbytes
                     )
                     self._report_buffer.append((report, nbytes))
+
+    def _leave(self, wid: int, reason: str) -> None:
+        """Bury member ``wid``: its shard is lost and re-dealt (idempotent)."""
+        member = self._members.pop(wid, None)
+        if member is None:
+            return
+        self._needs_reshard = True
+        self._dead_slaves.update(member.slave_ids)
+        self.fault_counters["worker_lost"] += 1
+        if reason == "heartbeat-timeout":
+            self.fault_counters["heartbeat_timeout"] += 1
+
+    def _disconnect(self, wid: int) -> None:
+        """Close member ``wid``'s connection from the loop thread."""
+
+        def close() -> None:
+            writer = self._writers.get(wid)
+            if writer is not None:
+                writer.close()
+
+        if self._aloop is not None:
+            try:
+                self._aloop.call_soon_threadsafe(close)
+            except RuntimeError:  # pragma: no cover - loop already closed
+                pass
 
     def _reshard(self) -> None:
         """Deal the slave-id space 0..P-1 over the live members, contiguously.
@@ -473,11 +521,11 @@ class SocketBackend:
         self._instance = instance
         self._config = config
         self._codec = WireCodec(instance.n_items)
+        self._problem_frame = encode_problem(instance, config)
         if rebinding:
             self.rebinds += 1
-        payload = pickle.dumps((instance, config))
         for wid in sorted(self._members):
-            self._send(wid, REBIND_TAG, payload)
+            self._send(wid, REBIND_TAG, self._problem_frame)
         if self._needs_reshard:
             self._reshard()
 
@@ -777,7 +825,8 @@ def run_worker(
     :class:`~repro.parallel.runtime.SlaveRuntime` (identity override per
     slave id, so any worker can serve any shard bit-identically).  A
     daemon thread keeps HEARTBEAT frames flowing while the main thread is
-    compute-bound.  Returns 0 on STOP or a closed master.
+    compute-bound.  Returns 0 on STOP or a closed master, and 1 after
+    closing the connection on a frame that fails to decode.
 
     ``fault_plan`` injects worker-side chaos for the seeded test matrix:
     a scheduled crash is a hard ``os._exit`` mid-batch (the master only
@@ -801,10 +850,7 @@ def run_worker(
             except OSError:
                 return
 
-    send_frame(
-        HELLO_TAG,
-        pickle.dumps({"name": name or f"worker-{os.getpid()}", "pid": os.getpid()}),
-    )
+    send_frame(HELLO_TAG, _hello(name or f"worker-{os.getpid()}"))
     threading.Thread(target=beat, name="repro-heartbeat", daemon=True).start()
     codec: WireCodec | None = None
     runtime: SlaveRuntime | None = None
@@ -814,7 +860,7 @@ def run_worker(
             if tag == STOP_TAG:
                 return 0
             if tag == REBIND_TAG:
-                instance, config = pickle.loads(payload)
+                instance, config = decode_problem(payload)
                 codec = WireCodec(instance.n_items)
                 runtime = SlaveRuntime(instance, config, slave_id=0)
                 continue
@@ -838,6 +884,8 @@ def run_worker(
             send_frame(RESULT_TAG, frame)
     except (ConnectionError, EOFError, OSError):
         return 0  # master went away; nothing left to serve
+    except FrameError:
+        return 1  # garbled stream: serve nothing from it
     finally:
         stop_beat.set()
         sock.close()

@@ -14,7 +14,8 @@ implementations:
 
 :class:`MultiprocessingBackend`
     Persistent worker processes connected by private duplex pipes, speaking
-    the same tagged message protocol via :class:`~repro.parallel.comm.PipeComm`.
+    the same tagged message protocol as :class:`~repro.parallel.shm.WireCodec`
+    frames via :class:`~repro.parallel.shm.ShmComm`.
     This is the real-parallelism path (the Python GIL forces processes, not
     threads — see DESIGN.md).
 
@@ -29,6 +30,11 @@ life of the backend — built at ``start()`` (serial) or at worker spawn
 of reconstructing kernels and tabu structures per round.  Trajectories are
 bit-identical either way (``tests/test_runtime.py``); the flag exists so
 benchmarks can A/B the cold path.
+
+Byte accounting: every task and report is charged at its
+:class:`~repro.parallel.shm.WireCodec` frame length — the bytes the
+multiprocessing backend puts on its worker pipes — so serial, pipe and
+socket runs book identical ledgers and virtual seconds.
 
 Service leasing (DESIGN.md §5.6): backends may outlive a single run.
 ``start()`` on an already-started backend never respawns — the same problem
@@ -80,24 +86,13 @@ from .comm import CommClosedError, InProcComm, MessageRouter, PipeComm
 from .faults import ChaosComm, FaultPlan
 from .message import REBIND_TAG, RESULT_TAG, STOP_TAG, TASK_TAG, SlaveReport, SlaveTask
 from .runtime import SlaveRuntime
-from .shm import (
-    DEFAULT_RING_NBYTES,
-    ShmComm,
-    ShmRing,
-    TornFrameError,
-    WireCodec,
-    resolve_transport,
-)
+from .shm import ShmComm, WireCodec
 from .slave import execute_task
 
 __all__ = ["Backend", "SerialBackend", "MultiprocessingBackend"]
 
 #: Phase keys every backend reports in ``last_phase_seconds``.
 PHASE_KEYS = ("scatter", "compute", "gather")
-
-
-def _n_groups(n_slaves: int, batch_k: int) -> int:
-    return -(-n_slaves // batch_k)  # ceil division
 
 
 class Backend(Protocol):
@@ -171,20 +166,16 @@ class SerialBackend:
         *,
         fault_plan: FaultPlan | None = None,
         warm_runtime: bool = True,
-        batch_k: int = 1,
     ) -> None:
         if n_slaves < 1:
             raise ValueError("n_slaves must be >= 1")
-        if batch_k < 1:
-            raise ValueError("batch_k must be >= 1")
         self.n_slaves = int(n_slaves)
-        #: slaves per shared warm runtime (``1`` = one arena per slave);
-        #: higher values share one arena across a whole slave group, the
-        #: serial mirror of the multiprocessing backend's batched workers
-        self.batch_k = int(batch_k)
         self.fault_plan = fault_plan or FaultPlan.none()
         self.warm_runtime = bool(warm_runtime)
-        self.router = MessageRouter()
+        #: sizes every message at its wire frame length (the bytes the
+        #: multiprocessing and socket backends ship for the same message)
+        self.codec = WireCodec(0)
+        self.router = MessageRouter(nbytes=self.codec.frame_nbytes)
         self.master_comm = InProcComm(self.router, rank=n_slaves)
         self._slave_comms = [InProcComm(self.router, rank=k) for k in range(n_slaves)]
         if self.fault_plan.is_empty:
@@ -246,24 +237,16 @@ class SerialBackend:
             self.rebinds += 1
         self._instance = instance
         self._config = config
-        # One warm arena per slave *group*: with batch_k == 1 that is the
-        # historical one-arena-per-slave layout; with batch_k > 1 a group
-        # of K slaves shares a single runtime (the trajectory depends only
-        # on the task, so reports are bit-identical either way).
+        self.codec.n_items = instance.n_items
         self._runtimes = (
-            [
-                SlaveRuntime(instance, config, slave_id=g * self.batch_k)
-                for g in range(_n_groups(self.n_slaves, self.batch_k))
-            ]
+            [SlaveRuntime(instance, config, slave_id=k) for k in range(self.n_slaves)]
             if self.warm_runtime
             else []
         )
 
     def _execute(self, k: int, task: SlaveTask) -> SlaveReport:
         assert self._instance is not None and self._config is not None
-        runtime = self._runtimes[k // self.batch_k] if self._runtimes else None
-        if runtime is not None and runtime.slave_id != k:
-            return runtime.execute(task, slave_id=k)
+        runtime = self._runtimes[k] if self._runtimes else None
         return execute_task(
             self._instance, self._config, task, slave_id=k, runtime=runtime
         )
@@ -435,19 +418,6 @@ _STRAGGLE_SLEEP_S = 0.05
 _MAX_STRAGGLE_SLEEP_S = 1.0
 
 
-def _run_one(
-    runtime: SlaveRuntime | None,
-    instance: MKPInstance,
-    config: TabuSearchConfig,
-    task: SlaveTask,
-    slave_id: int,
-) -> SlaveReport:
-    """One task through the warm arena (identity override) or a cold one."""
-    if runtime is not None:
-        return runtime.execute(task, slave_id=slave_id)
-    return execute_task(instance, config, task, slave_id=slave_id)
-
-
 def _straggle(fault_plan: FaultPlan, round_index: int, slave_id: int) -> None:
     factor = fault_plan.straggle_factor(round_index, slave_id)
     if factor > 1.0:
@@ -458,47 +428,45 @@ def _worker_main(
     conn: "mp.connection.Connection",
     instance: MKPInstance,
     config: TabuSearchConfig,
-    slave_ids: tuple[int, ...],
+    slave_id: int,
     fault_plan: FaultPlan,
     warm_runtime: bool = True,
-    shm_spec: tuple[str, str] | None = None,
 ) -> None:
     """Worker process entry point: serve tasks until the stop sentinel.
 
-    One worker owns a whole slave *group* (``slave_ids``; a single id in
-    the classic one-process-per-slave layout).  The fault plan travels to
-    the worker so crash/drop faults happen on the worker side of the wire
-    — the master only ever observes their symptoms (silence), exactly as
-    with a real failing host.
+    The fault plan travels to the worker so crash/drop faults happen on the
+    worker side of the wire — the master only ever observes their symptoms
+    (silence), exactly as with a real failing host.
 
-    ``shm_spec`` names the two rings the master created for this worker
-    (task direction, report direction); attach failure silently degrades
-    to the in-band pipe carrier — the doorbell protocol needs no
-    negotiation, so the master never has to know.
+    Two task shapes arrive: a single task (the sync round) answered by zero
+    or more single reports, and a one-entry batch envelope (the async
+    ``dispatch``) answered by exactly one report batch, empty when a fault
+    destroyed the report.
 
     Delayed reports (``FaultKind.DELAY_REPORT``) are *held*, not slept on:
     they leave with the next round's traffic, so a delay fault costs the
     master zero gather wall time and is charged to the farm clock on the
     round the stale bytes actually arrive (see ``tests/test_wall_clock.py``).
     """
-    codec = WireCodec(instance.n_items)
-    send_ring = recv_ring = None
-    if shm_spec is not None:
-        task_name, report_name = shm_spec
-        try:
-            recv_ring = ShmRing.attach(task_name)
-            send_ring = ShmRing.attach(report_name)
-        except Exception:  # pragma: no cover - host-dependent attach failure
-            if recv_ring is not None:
-                recv_ring.close()
-            send_ring = recv_ring = None
-    comm = ShmComm(PipeComm(conn), codec, send_ring=send_ring, recv_ring=recv_ring)
-    primary = slave_ids[0]
+    comm = ShmComm(PipeComm(conn), WireCodec(instance.n_items))
     runtime = (
-        SlaveRuntime(instance, config, slave_id=primary) if warm_runtime else None
+        SlaveRuntime(instance, config, slave_id=slave_id) if warm_runtime else None
     )
     #: reports a delay fault held back, flushed with the next round's sends
     held: list[SlaveReport] = []
+
+    def serve(task: SlaveTask) -> tuple[list[SlaveReport], bool]:
+        """Run one task under the plan: ``(copies to deliver, held back?)``."""
+        if fault_plan.crashes(task.round_index, slave_id):
+            # Hard crash: no cleanup, no reply, nonzero exit code.
+            os._exit(17)
+        report = execute_task(instance, config, task, slave_id, runtime=runtime)
+        _straggle(fault_plan, task.round_index, slave_id)
+        if fault_plan.drops_report(task.round_index, slave_id):
+            return [], False  # the report is lost in flight
+        copies = 2 if fault_plan.duplicates_report(task.round_index, slave_id) else 1
+        return [report] * copies, fault_plan.delays_report(task.round_index, slave_id)
+
     try:
         while True:
             tag, obj = comm.recv_message()
@@ -510,67 +478,40 @@ def _worker_main(
                 # Pipe ordering guarantees every later task sees the new
                 # instance, so this needs no acknowledgement round-trip.
                 instance, config = obj
-                codec.n_items = instance.n_items
+                comm.codec.n_items = instance.n_items
                 held = []
                 if runtime is not None:
-                    runtime = SlaveRuntime(instance, config, slave_id=primary)
+                    runtime = SlaveRuntime(instance, config, slave_id=slave_id)
                 continue
             if tag != TASK_TAG:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"worker {primary}: unexpected tag {tag}")
+                raise RuntimeError(f"worker {slave_id}: unexpected tag {tag}")
             if isinstance(obj, list):
-                # Batched round: one message in, one message out — always
-                # sent, even when faults emptied it, so the master's
-                # one-message-per-worker expectation holds unconditionally.
-                out: list[SlaveReport] = held
-                held = []
+                # Batch envelope: one message in, one message out — always
+                # sent, even when faults emptied it.
+                out, held = held, []
                 entries: list[tuple[int, SlaveTask]] = obj
                 if runtime is not None and fault_plan.is_empty:
-                    # Fault-free fast path: whole group audited in one
-                    # batched (K, n) kernel pass, then run back to back.
                     out.extend(
                         runtime.execute_batch(
                             [t for _, t in entries], [k for k, _ in entries]
                         )
                     )
                 else:
-                    for k, task in entries:
-                        if fault_plan.crashes(task.round_index, k):
-                            os._exit(17)
-                        report = _run_one(runtime, instance, config, task, k)
-                        _straggle(fault_plan, task.round_index, k)
-                        if fault_plan.drops_report(task.round_index, k):
-                            continue  # the entry is lost in flight
-                        copies = (
-                            2
-                            if fault_plan.duplicates_report(task.round_index, k)
-                            else 1
-                        )
-                        if fault_plan.delays_report(task.round_index, k):
-                            held.extend([report] * copies)
-                        else:
-                            out.extend([report] * copies)
+                    for _k, task in entries:
+                        copies, delayed = serve(task)
+                        (held if delayed else out).extend(copies)
                 comm.send_reports(out)
                 continue
-            # Classic one-task-per-message round (batch_k == 1).  Stale
-            # deliveries first: reports a delay fault held from an earlier
-            # round ride out as soon as the worker wakes for a new task.
+            # Single task.  Stale deliveries first: reports a delay fault
+            # held from an earlier round ride out as soon as the worker
+            # wakes for a new task.
             for stale in held:
                 comm.send(stale, tag=RESULT_TAG)
-            held = []
-            task = obj
-            if fault_plan.crashes(task.round_index, primary):
-                # Hard crash: no cleanup, no reply, nonzero exit code.
-                os._exit(17)
-            report = _run_one(runtime, instance, config, task, primary)
-            _straggle(fault_plan, task.round_index, primary)
-            if fault_plan.drops_report(task.round_index, primary):
-                continue  # the message is lost in flight
-            copies = 2 if fault_plan.duplicates_report(task.round_index, primary) else 1
-            if fault_plan.delays_report(task.round_index, primary):
-                held.extend([report] * copies)
-                continue
-            for _ in range(copies):
-                comm.send(report, tag=RESULT_TAG)
+            copies, delayed = serve(obj)
+            held = copies if delayed else []
+            if not delayed:
+                for report in copies:
+                    comm.send(report, tag=RESULT_TAG)
     except (EOFError, BrokenPipeError, CommClosedError):  # pragma: no cover - master died
         pass
     finally:
@@ -580,12 +521,17 @@ def _worker_main(
 class MultiprocessingBackend:
     """Real process-parallel backend (PVM stand-in; mpi4py idiom over pipes).
 
-    Workers are forked once per run and reused across rounds, so the
-    problem data crosses the process boundary a single time — the same
-    optimization the paper's master applies ("Read and send to slaves
-    problem data" once, outside the round loop) — and, with
+    One worker process per slave, forked once per run and reused across
+    rounds, so the problem data crosses the process boundary a single time
+    — the same optimization the paper's master applies ("Read and send to
+    slaves problem data" once, outside the round loop) — and, with
     ``warm_runtime`` (default), each worker also builds its search arena
     once at spawn and rebinds it per task.
+
+    Carrier: every task and report travels as a
+    :class:`~repro.parallel.shm.WireCodec` frame in-band on the worker's
+    duplex pipe (:class:`~repro.parallel.shm.ShmComm`); only the STOP and
+    REBIND control messages are pickled.
 
     Hardened: the gather is one ``connection.wait()`` event loop bounded by
     a single ``round_timeout_s`` deadline for the whole round; reports fold
@@ -593,20 +539,6 @@ class MultiprocessingBackend:
     worker that stays silent past the deadline or breaks its pipe is
     terminated and respawned (``respawns`` counts them), and the round
     returns without its report instead of deadlocking the Fig. 2 barrier.
-
-    Transport (DESIGN.md §5.7): with ``transport="shm"`` (the automatic
-    choice wherever POSIX shared memory works; override with the argument
-    or ``REPRO_TRANSPORT``) every task and report frame moves through a
-    per-worker pair of :class:`~repro.parallel.shm.ShmRing` buffers and
-    the pipe carries only constant-size doorbells; ``"pipe"`` ships the
-    same codec frames in-band.  Byte ledgers are identical either way.
-
-    Batching: ``batch_k`` slaves share one worker process and one
-    :class:`~repro.parallel.runtime.SlaveRuntime`; a round then exchanges
-    one batched message per worker per direction instead of one per slave.
-    Reports are bit-identical to the ``batch_k == 1`` layout (pinned by
-    ``tests/differential.py``); only the process count and message count
-    change.
     """
 
     def __init__(
@@ -618,26 +550,14 @@ class MultiprocessingBackend:
         round_timeout_s: float | None = 60.0,
         warm_runtime: bool = True,
         shutdown_timeout_s: float = 10.0,
-        transport: str | None = None,
-        batch_k: int = 1,
-        ring_nbytes: int = DEFAULT_RING_NBYTES,
     ) -> None:
         if n_slaves < 1:
             raise ValueError("n_slaves must be >= 1")
-        if batch_k < 1:
-            raise ValueError("batch_k must be >= 1")
         if round_timeout_s is not None and round_timeout_s <= 0:
             raise ValueError("round_timeout_s must be positive (or None)")
         if shutdown_timeout_s <= 0:
             raise ValueError("shutdown_timeout_s must be positive")
         self.n_slaves = int(n_slaves)
-        #: slaves served per worker process and message (1 = classic layout)
-        self.batch_k = int(batch_k)
-        #: worker process count: ``ceil(n_slaves / batch_k)``
-        self.n_workers = _n_groups(self.n_slaves, self.batch_k)
-        #: resolved payload carrier: explicit arg > ``REPRO_TRANSPORT`` > auto
-        self.transport = resolve_transport(transport)
-        self.ring_nbytes = int(ring_nbytes)
         self.fault_plan = fault_plan or FaultPlan.none()
         self.round_timeout_s = round_timeout_s
         self.warm_runtime = bool(warm_runtime)
@@ -645,11 +565,7 @@ class MultiprocessingBackend:
         self._ctx = mp.get_context(mp_context)
         self._procs: list[mp.Process | None] = []
         self._comms: list[ShmComm | None] = []
-        self._rings: list[tuple[ShmRing, ShmRing] | None] = []
-        #: per-worker carrier actually in use after spawn ("shm" or "pipe")
-        self.worker_transports: list[str] = []
         #: reports a delay fault will hold at the worker, owed next round
-        #: (slave-keyed; batch_k == 1 path only — batches always send)
         self._stale_due: Counter[int] = Counter()
         self._instance: MKPInstance | None = None
         self._config: TabuSearchConfig | None = None
@@ -682,90 +598,49 @@ class MultiprocessingBackend:
         self._dead_slaves: set[int] = set()
 
     # ------------------------------------------------------------------ #
-    def _group_slaves(self, w: int) -> range:
-        """Slave ids served by worker ``w`` (one id when ``batch_k == 1``)."""
-        lo = w * self.batch_k
-        return range(lo, min(lo + self.batch_k, self.n_slaves))
-
-    def _spawn(self, w: int) -> None:
+    def _spawn(self, k: int) -> None:
         assert self._instance is not None and self._config is not None
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        task_ring: ShmRing | None = None
-        report_ring: ShmRing | None = None
-        shm_spec: tuple[str, str] | None = None
-        if self.transport == "shm":
-            try:
-                task_ring = ShmRing.create(self.ring_nbytes)
-                report_ring = ShmRing.create(self.ring_nbytes)
-                shm_spec = (task_ring.name, report_ring.name)
-            except Exception:
-                # Segment creation failed (exhausted /dev/shm, hardened
-                # host, ...): this worker degrades to the in-band pipe
-                # carrier.  The doorbell protocol is carrier-agnostic, so
-                # nothing else changes.
-                if task_ring is not None:
-                    task_ring.close()
-                    task_ring.unlink()
-                task_ring = report_ring = None
-                shm_spec = None
-                self.fault_counters["shm_fallback"] += 1
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
                 child_conn,
                 self._instance,
                 self._config,
-                tuple(self._group_slaves(w)),
+                k,
                 self.fault_plan,
                 self.warm_runtime,
-                shm_spec,
             ),
             daemon=True,
-            name=f"repro-slave-{w}",
+            name=f"repro-slave-{k}",
         )
         proc.start()
         child_conn.close()
-        self._procs[w] = proc
-        self._comms[w] = ShmComm(
-            PipeComm(parent_conn),
-            WireCodec(self._instance.n_items),
-            send_ring=task_ring,
-            recv_ring=report_ring,
-        )
-        self._rings[w] = (
-            (task_ring, report_ring) if task_ring is not None else None
-        )
-        self.worker_transports[w] = "shm" if shm_spec is not None else "pipe"
+        self._procs[k] = proc
+        self._comms[k] = ShmComm(PipeComm(parent_conn), WireCodec(self._instance.n_items))
 
-    def _bury(self, w: int) -> None:
-        """Terminate worker ``w``, close its wire, unlink its rings."""
-        proc = self._procs[w]
+    def _bury(self, k: int) -> None:
+        """Terminate worker ``k`` and close its pipe."""
+        proc = self._procs[k]
         if proc is not None:
             if proc.is_alive():  # pragma: no branch
                 proc.terminate()
             proc.join(timeout=5)
-            self._procs[w] = None
-        comm = self._comms[w]
+            self._procs[k] = None
+        comm = self._comms[k]
         if comm is not None:
             comm.close()
-            self._comms[w] = None
-        rings = self._rings[w]
-        if rings is not None:
-            for ring in rings:
-                ring.close()
-                ring.unlink()
-            self._rings[w] = None
-        for k in self._group_slaves(w):
-            self._stale_due.pop(k, None)
+            self._comms[k] = None
+        self._stale_due.pop(k, None)
 
-    def _ensure_alive(self, w: int) -> ShmComm:
-        """Respawn worker ``w`` if it is dead; return its live endpoint."""
-        proc = self._procs[w]
+    def _ensure_alive(self, k: int) -> ShmComm:
+        """Respawn worker ``k`` if it is dead; return its live endpoint."""
+        proc = self._procs[k]
         if proc is None or not proc.is_alive():
-            self._bury(w)
-            self._spawn(w)
-            self.respawns[w] += 1
-        comm = self._comms[w]
+            self._bury(k)
+            self._spawn(k)
+            self.respawns[k] += 1
+        comm = self._comms[k]
         assert comm is not None
         return comm
 
@@ -790,25 +665,23 @@ class MultiprocessingBackend:
             self._instance = instance
             self._config = config
             self._stale_due.clear()
-            for w in range(self.n_workers):
-                comm = self._comms[w]
-                proc = self._procs[w]
+            for k in range(self.n_slaves):
+                comm = self._comms[k]
+                proc = self._procs[k]
                 if comm is None or comm.closed or proc is None or not proc.is_alive():
                     continue  # lazily respawned (with the new problem) on use
                 try:
                     comm.send((instance, config), tag=REBIND_TAG)
                     comm.codec.n_items = instance.n_items
                 except (BrokenPipeError, OSError, CommClosedError):
-                    self._bury(w)
+                    self._bury(k)
             return
         self._instance = instance
         self._config = config
-        self._procs = [None] * self.n_workers
-        self._comms = [None] * self.n_workers
-        self._rings = [None] * self.n_workers
-        self.worker_transports = ["pipe"] * self.n_workers
-        for w in range(self.n_workers):
-            self._spawn(w)
+        self._procs = [None] * self.n_slaves
+        self._comms = [None] * self.n_slaves
+        for k in range(self.n_slaves):
+            self._spawn(k)
 
     def run_round(self, tasks: Sequence[SlaveTask | None]) -> list[SlaveReport]:
         if not self._procs:
@@ -821,67 +694,53 @@ class MultiprocessingBackend:
         self.last_master_wait_s = 0.0
         t_scatter = time.perf_counter()
         # Scatter: non-blocking from the master's perspective (pipes buffer).
-        # Tasks are grouped per worker; with batch_k == 1 the classic
-        # one-message-per-slave wire is preserved bit-for-bit, otherwise a
-        # group's tasks travel as one batched frame.
-        per_worker: dict[int, list[tuple[int, SlaveTask]]] = {}
+        expected: dict[int, int] = {}
         for k, task in enumerate(tasks):
             if task is None:
                 continue
-            per_worker.setdefault(k // self.batch_k, []).append((k, task))
-        expected: dict[int, int] = {}
-        for w, entries in per_worker.items():
             try:
-                comm = self._ensure_alive(w)
-                if self.batch_k == 1:
-                    k, task = entries[0]
-                    before = comm.bytes_sent
-                    comm.send(task, tag=TASK_TAG)
-                    self.last_task_nbytes[k] = comm.bytes_sent - before
-                    # The plan is shared with the worker, so the master
-                    # knows exactly how many report messages this round's
-                    # task produces *now*: any stale reports the worker
-                    # held from a delay fault flush first, a duplicate adds
-                    # a copy, and a delayed report adds nothing this round
-                    # — it becomes stale debt charged when it arrives.
-                    n_expected = self._stale_due.pop(k, 0)
-                    copies = (
-                        2 if plan.duplicates_report(task.round_index, k) else 1
-                    )
-                    if plan.delays_report(task.round_index, k):
-                        self._stale_due[k] += copies
-                    else:
-                        n_expected += copies
-                    expected[w] = n_expected
+                comm = self._ensure_alive(k)
+                before = comm.bytes_sent
+                comm.send(task, tag=TASK_TAG)
+                self.last_task_nbytes[k] = comm.bytes_sent - before
+                # The plan is shared with the worker, so the master knows
+                # exactly how many report messages this round's task
+                # produces *now*: any stale reports the worker held from a
+                # delay fault flush first, a duplicate adds a copy, and a
+                # delayed report adds nothing this round — it becomes stale
+                # debt charged when it arrives.
+                n_expected = self._stale_due.pop(k, 0)
+                copies = 2 if plan.duplicates_report(task.round_index, k) else 1
+                if plan.delays_report(task.round_index, k):
+                    self._stale_due[k] += copies
                 else:
-                    self.last_task_nbytes.update(comm.send_tasks(entries))
-                    expected[w] = 1  # one batch message, faults or not
+                    n_expected += copies
+                expected[k] = n_expected
             except (BrokenPipeError, OSError, CommClosedError):
                 # The worker died between liveness check and send; the
                 # round proceeds without it and the next round respawns.
                 self.fault_counters["send_failed"] += 1
-                self._bury(w)
-        # Gather: one multiplexed event loop over every outstanding
-        # doorbell pipe, bounded by a single whole-round deadline.
-        # Messages are consumed in arrival order; a slow worker never
-        # blocks a fast one.
+                self._bury(k)
+        # Gather: one multiplexed event loop over every outstanding pipe,
+        # bounded by a single whole-round deadline.  Messages are consumed
+        # in arrival order; a slow worker never blocks a fast one.
         t_gather = time.perf_counter()
         deadline = (
             None if self.round_timeout_s is None else t_gather + self.round_timeout_s
         )
         got: Counter[int] = Counter()
         pending = {
-            w for w, n in expected.items() if n > 0 and self._comms[w] is not None
+            k for k, n in expected.items() if n > 0 and self._comms[k] is not None
         }
         reports: list[SlaveReport] = []
         first_report_s: float | None = None
         wait_s = 0.0
         while pending:
             live = {}
-            for w in pending:
-                comm = self._comms[w]
+            for k in pending:
+                comm = self._comms[k]
                 if comm is not None and not comm.closed:
-                    live[comm.connection] = w
+                    live[comm.connection] = k
             if not live:
                 break
             timeout = None
@@ -895,10 +754,10 @@ class MultiprocessingBackend:
             if not ready:
                 break  # round deadline expired with workers still silent
             for raw in ready:
-                w = live[raw]
-                comm = self._comms[w]
+                k = live[raw]
+                comm = self._comms[k]
                 if comm is None or comm.closed:  # pragma: no cover - raced bury
-                    pending.discard(w)
+                    pending.discard(k)
                     continue
                 try:
                     while True:
@@ -916,30 +775,28 @@ class MultiprocessingBackend:
                                 + nbytes
                             )
                             reports.append(report)
-                        got[w] += 1
-                        if got[w] >= expected[w]:
-                            pending.discard(w)
+                        got[k] += 1
+                        if got[k] >= expected[k]:
+                            pending.discard(k)
                             break
                         if not comm.poll(0.0):
                             break  # duplicate still in flight; select again
-                except (EOFError, OSError, TornFrameError, CommClosedError):
-                    # The worker died mid-round (or tore its ring).
-                    # Messages it delivered before dying still count;
-                    # total silence is a loss.
-                    if got[w] == 0:
+                except (EOFError, OSError, CommClosedError):
+                    # The worker died mid-round.  Messages it delivered
+                    # before dying still count; total silence is a loss.
+                    if got[k] == 0:
                         self.fault_counters["gather_lost"] += 1
-                    self._bury(w)
-                    pending.discard(w)
+                    self._bury(k)
+                    pending.discard(k)
         # Deadline expired: bury only the workers that produced nothing.  A
         # worker whose scheduled duplicate never surfaced is still alive and
         # keeps its accepted report (idempotency is the master's job).
         t_end = time.perf_counter()
-        for w in pending:
-            if got[w] == 0:
+        for k in pending:
+            if got[k] == 0:
                 self.fault_counters["gather_lost"] += 1
-                self._bury(w)
-                for k, _task in per_worker.get(w, ()):
-                    self.last_gather_idle_s.setdefault(k, t_end - t_gather)
+                self._bury(k)
+                self.last_gather_idle_s.setdefault(k, t_end - t_gather)
         self.last_master_wait_s = wait_s
         self.last_phase_seconds = {
             "scatter": t_gather - t_scatter,
@@ -966,27 +823,24 @@ class MultiprocessingBackend:
         """Send one task to one slave without waiting for any report.
 
         The task travels as a single-entry *batch* envelope, so the worker
-        serves it on the batched path regardless of its primary id (the
-        classic scalar path always executes as the worker's first slave) and
         always answers with one batch message — possibly empty when a drop
-        fault destroyed the report, which keeps the doorbell pipe's
-        message-per-task cadence intact.  A dead worker is respawned lazily
-        here; if the send itself fails the group's slaves are queued for
-        :meth:`drain_dead_slaves` and 0 is returned.
+        fault destroyed the report, which keeps the pipe's message-per-task
+        cadence intact.  A dead worker is respawned lazily here; if the send
+        itself fails the slave is queued for :meth:`drain_dead_slaves` and 0
+        is returned.
         """
         if not self._procs:
             raise RuntimeError("backend not started: call start() first")
-        w = slave_id // self.batch_k
         try:
-            comm = self._ensure_alive(w)
+            comm = self._ensure_alive(slave_id)
             sizes = comm.send_tasks([(slave_id, task)])
             nbytes = sizes.get(slave_id, 0)
             self.last_task_nbytes[slave_id] = nbytes
             return nbytes
         except (BrokenPipeError, OSError, CommClosedError):
             self.fault_counters["send_failed"] += 1
-            self._dead_slaves.update(self._group_slaves(w))
-            self._bury(w)
+            self._dead_slaves.add(slave_id)
+            self._bury(slave_id)
             return 0
 
     def next_report(
@@ -995,7 +849,7 @@ class MultiprocessingBackend:
         """Wait for the next ``(report, payload_nbytes)`` pair in arrival order.
 
         One multiplexed ``connection.wait`` over every live worker pipe;
-        coalesced doorbells are drained eagerly (``poll(0.0)`` loop) so a
+        queued messages are drained eagerly (``poll(0.0)`` loop) so a
         burst of arrivals costs one select.  Returns ``None`` when the
         timeout expires with nothing buffered, when no worker is left
         alive, or when a worker died during the wait (so the caller can
@@ -1011,10 +865,10 @@ class MultiprocessingBackend:
         n_dead_before = len(self._dead_slaves)
         while True:
             live: dict[object, int] = {}
-            for w in range(self.n_workers):
-                comm = self._comms[w]
+            for k in range(self.n_slaves):
+                comm = self._comms[k]
                 if comm is not None and not comm.closed:
-                    live[comm.connection] = w
+                    live[comm.connection] = k
             if not live:
                 return None
             timeout = None
@@ -1028,8 +882,8 @@ class MultiprocessingBackend:
             if not ready:
                 return None  # deadline expired with every worker silent
             for raw in ready:
-                w = live[raw]
-                comm = self._comms[w]
+                k = live[raw]
+                comm = self._comms[k]
                 if comm is None or comm.closed:  # pragma: no cover - raced bury
                     continue
                 try:
@@ -1042,10 +896,10 @@ class MultiprocessingBackend:
                                 + nbytes
                             )
                             self._report_buffer.append((report, nbytes))
-                except (EOFError, OSError, TornFrameError, CommClosedError):
+                except (EOFError, OSError, CommClosedError):
                     self.fault_counters["gather_lost"] += 1
-                    self._dead_slaves.update(self._group_slaves(w))
-                    self._bury(w)
+                    self._dead_slaves.add(k)
+                    self._bury(k)
             if self._report_buffer:
                 return self._report_buffer.popleft()
             if len(self._dead_slaves) > n_dead_before:
@@ -1099,15 +953,8 @@ class MultiprocessingBackend:
         for comm in self._comms:
             if comm is not None:
                 comm.close()
-        for rings in self._rings:
-            if rings is not None:
-                for ring in rings:
-                    ring.close()
-                    ring.unlink()
         self._procs = []
         self._comms = []
-        self._rings = []
-        self.worker_transports = []
         self._stale_due.clear()
         self._report_buffer.clear()
         self._dead_slaves.clear()

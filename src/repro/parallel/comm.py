@@ -7,7 +7,10 @@ objects.  Two realisations:
 :class:`InProcComm`
     Per-(endpoint, tag) FIFO queues inside one process.  Used by the serial
     and simulated backends; :attr:`InProcComm.bytes_sent` feeds the farm's
-    crossbar cost model.
+    crossbar cost model.  The router sizes each message with the function
+    it was built with: the serial backend passes
+    :meth:`~repro.parallel.shm.WireCodec.frame_nbytes`, so it books the
+    bytes the other backends put on the wire.
 
 :class:`PipeComm`
     A thin wrapper over a ``multiprocessing`` duplex pipe, giving worker
@@ -20,7 +23,7 @@ was ``send``-ed exactly once (property-tested).
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 from .message import payload_nbytes
 
@@ -58,13 +61,12 @@ class MessageRouter:
     Endpoint ``r``'s inbox for tag ``t`` is keyed ``(r, t)``.  The router
     also keeps byte counters per (src, dest) pair and per tag so the
     simulated farm can charge the exact traffic to the crossbar and the
-    benchmarks can attribute it to task/report streams.  Charged sizes are
-    actual pickle sizes, so they reflect the packed-bitset wire codec of
-    :class:`~repro.core.solution.Solution` (``ceil(n/8)``-byte frames
-    instead of dense ``int8`` vectors) whenever it is enabled.
+    benchmarks can attribute it to task/report streams.  ``nbytes`` sizes
+    each message (default: its pickle, for arbitrary payloads).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, nbytes: Callable[[Any], int] = payload_nbytes) -> None:
+        self._nbytes = nbytes
         self._queues: dict[tuple[int, int], deque[tuple[Any, int]]] = defaultdict(deque)
         self.bytes_by_pair: dict[tuple[int, int], int] = defaultdict(int)
         self.messages_by_pair: dict[tuple[int, int], int] = defaultdict(int)
@@ -73,7 +75,7 @@ class MessageRouter:
 
     def push(self, src: int, dest: int, tag: int, obj: Any) -> int:
         """Enqueue and return the charged payload size in bytes."""
-        nbytes = payload_nbytes(obj)
+        nbytes = self._nbytes(obj)
         self._queues[(dest, tag)].append((obj, nbytes))
         self.bytes_by_pair[(src, dest)] += nbytes
         self.messages_by_pair[(src, dest)] += 1

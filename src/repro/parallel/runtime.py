@@ -51,7 +51,7 @@ __all__ = ["SlaveRuntime"]
 
 #: Resident reduced-arena bound: each entry holds a reduced instance (with
 #: its own HotTables) plus a reduced TabuSearch thread.  The SGP revisits a
-#: handful of core sizes and a batched worker serves a few per-slave
+#: handful of core sizes and a socket worker serves a few per-slave
 #: variants, so a small LRU captures the working set.
 _CORE_CACHE_ENTRIES = 8
 
@@ -125,7 +125,7 @@ class SlaveRuntime:
         and clears every per-run memory before the run starts.
 
         ``slave_id`` overrides the report's identity without rebuilding the
-        runtime — how one batched worker serves a whole slave group (the
+        runtime — how one socket worker serves a whole shard of slaves (the
         trajectory depends only on the task contents, never on which arena
         executed it; ``tests/test_backends.py`` pins that).
 
@@ -243,12 +243,12 @@ class SlaveRuntime:
     def execute_batch(
         self, tasks: list[SlaveTask], slave_ids: list[int]
     ) -> list[SlaveReport]:
-        """Serve a whole slave group's round on this one arena.
+        """Serve a batch envelope's tasks (a socket shard) on this one arena.
 
         Before any search runs, the decoded initial solutions are audited
         in a single batched ``(K, n)`` kernel pass
         (:meth:`~repro.core.kernels.EvalKernel.batch_values`): on integer
-        instances a transport-corrupted frame whose claimed value disagrees
+        instances a corrupted frame whose claimed value disagrees
         with recomputation fails loudly here instead of silently seeding a
         wrong trajectory.  Execution itself stays sequential per task —
         each run is a long dependent move chain — so reports are

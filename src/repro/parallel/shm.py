@@ -1,406 +1,84 @@
-"""Zero-copy shared-memory transport: seqlock rings + compact wire frames.
+"""The wire format: compact binary frames and the worker-pipe endpoint.
 
-The PR-4 gather rewrite left exactly one per-round cost the pipes cannot
-shed: every task and report still crosses the kernel as a pickled pipe
-message.  This module demotes the pipe to a *doorbell* — a constant-size
-``(tag, nbytes, b"")`` frame that only says "a message is waiting" — while
-the actual payload moves through a ``multiprocessing.shared_memory`` ring
-buffer that both sides map once, at spawn.
-
-Three layers, bottom up:
-
-:class:`ShmRing`
-    A single-producer/single-consumer byte ring over one shared-memory
-    segment.  The 64-byte header holds the write/read cursors plus a
-    seqlock-style write sequence counter (``wseq``): the writer makes it
-    odd before touching the cursor and even after, so a reader that loads
-    an odd value — or sees the value change across its cursor snapshot —
-    knows it raced a write and retries.  Each frame additionally carries a
-    monotone frame sequence number; a reader that decodes a frame whose
-    number is not exactly "last read + 1" raises :class:`TornFrameError`
-    instead of silently consuming garbage (the property suite in
-    ``tests/test_shm.py`` forges both corruptions).
+Every task and report that crosses a process boundary travels as a
+:class:`WireCodec` frame — on the multiprocessing backend's worker pipes
+and on the socket backend's TCP streams alike — and the in-process serial
+backend charges each message at the same frame length.  So this module is
+the one place that knows the format, and every backend books the same
+bytes for the same run.
 
 :class:`WireCodec`
     Fixed binary frames (``struct``, no pickle) for
     :class:`~repro.parallel.message.SlaveTask` /
     :class:`~repro.parallel.message.SlaveReport` and their batched forms.
-    Solutions travel as the PR-3 packed-word frames (``8 + ceil(n/8)``
-    bytes) and are rebuilt through the same
-    :func:`~repro.core.solution._solution_from_wire` hook as the pickle
-    path, so the decoded object seeds the identical ``packed_words`` memo.
+    Solutions travel as packed-word frames (``8 + ceil(n/8)`` bytes) and
+    are rebuilt through :func:`~repro.core.solution._solution_from_wire`,
+    so the decoded object seeds its ``packed_words`` memo.  Decoding is
+    strict: a frame whose kind, lengths or entry count disagree with its
+    bytes raises :class:`FrameError`.
 
 :class:`ShmComm`
-    A :class:`~repro.parallel.comm.PipeComm`-compatible endpoint: same
-    ``send``/``recv``/``poll``/``close`` surface, same byte counters, same
-    ``.connection`` handle for the multiplexed gather — but ``send``
-    encodes the message with the codec, writes the frame into the ring and
-    pushes only the doorbell through the pipe.  When a ring is absent
-    (non-POSIX host, exhausted shm, attach failure) or momentarily full,
-    the *same frame bytes* ride in-band through the pipe instead — the
-    receive side keys off the doorbell's empty payload, so no negotiation
-    is needed and the byte ledgers are identical either way.  That
-    equality is what keeps serialized run records byte-identical across
-    ``transport ∈ {pipe, shm}`` (the differential suite's contract).
+    A :class:`~repro.parallel.comm.PipeComm`-compatible endpoint that ships
+    codec frames in-band on one worker pipe as ``(tag, nbytes, frame)``.
+    Control messages (STOP, REBIND) keep the pickled pipe path: they are
+    rare, local and sent only by the master.
 
-Transport selection: :func:`resolve_transport` prefers an explicit
-argument, then ``REPRO_TRANSPORT`` (``shm`` | ``pipe``), then picks
-``shm`` wherever :func:`shm_available` proves a segment can actually be
-created — pipes remain the automatic fallback everywhere else.
+:func:`encode_problem` / :func:`decode_problem`
+    The problem frame a socket worker receives on REBIND: a JSON header
+    (instance name, optimum, best-known value, array shapes and dtypes,
+    the :class:`~repro.core.tabu_search.TabuSearchConfig` fields) followed
+    by the raw little-endian array bytes.
+
+The module keeps its historical name, and :class:`ShmComm` its name,
+because the benchmark in ``ttqbench/`` wraps ``repro.parallel.shm:WireCodec``
+and ``repro.parallel.shm:ShmComm`` by name; they move to a ``wire`` module
+together with the benchmark's lookup table.
 """
 
 from __future__ import annotations
 
-import os
+import dataclasses
+import enum
+import json
+import math
 import struct
-import time
 from typing import Any
 
+import numpy as np
+
+from ..core.instance import MKPInstance
 from ..core.reduction import _pattern_from_wire
 from ..core.solution import Solution, _solution_from_wire
 from ..core.strategy import Strategy
+from ..core.tabu_search import TabuSearchConfig
 from ..core.termination import Budget
 from .comm import CommTimeout, PipeComm
 from .message import RESULT_TAG, TASK_TAG, SlaveReport, SlaveTask
 
 __all__ = [
-    "DEFAULT_RING_NBYTES",
-    "FrameTooLarge",
-    "RingEmpty",
-    "RingFull",
+    "FrameError",
     "ShmComm",
-    "ShmRing",
-    "TornFrameError",
     "WireCodec",
-    "resolve_transport",
-    "shm_available",
+    "decode_problem",
+    "encode_problem",
 ]
 
 
-class RingError(RuntimeError):
-    """Base class for ring-buffer protocol errors."""
+class FrameError(ValueError):
+    """A frame's bytes disagree with its own kind, lengths or counts."""
 
 
-class RingFull(RingError):
-    """``write`` found too little free space for the frame."""
+def _unpack(fmt: struct.Struct, buf: bytes, off: int) -> tuple:
+    try:
+        return fmt.unpack_from(buf, off)
+    except struct.error as exc:
+        raise FrameError(f"truncated frame: {exc}") from None
 
 
-class RingEmpty(RingError):
-    """``read`` found no complete frame in the ring."""
-
-
-class FrameTooLarge(RingError):
-    """The frame can never fit the ring, even empty."""
-
-
-class TornFrameError(RingError):
-    """The reader observed a torn or out-of-sequence frame.
-
-    Raised when the seqlock stays odd past the spin budget (writer died
-    mid-write) or when a decoded frame header fails validation (frame
-    sequence number out of order, length beyond the readable span) —
-    i.e. whenever consuming the bytes would return garbage.
-    """
-
-
-# ---------------------------------------------------------------------- #
-# Ring buffer
-# ---------------------------------------------------------------------- #
-
-#: Default ring capacity per direction.  A GK-scale round moves a few KiB
-#: per slave; 1 MiB absorbs whole batched rounds plus chaos duplicates
-#: without ever exercising the in-band overflow fallback.
-DEFAULT_RING_NBYTES = 1 << 20
-
-_HEADER_NBYTES = 64
-_MAGIC = 0x53_4C_52_50  # "SLRP"
-_OFF_MAGIC = 0
-_OFF_CAPACITY = 8
-_OFF_WIDX = 16
-_OFF_WSEQ = 24
-_OFF_RIDX = 32
-_OFF_FRAMES_WRITTEN = 40
-_OFF_FRAMES_READ = 48
-
-_U64 = struct.Struct("<Q")
-_FRAME_HEADER = struct.Struct("<II")  # payload length, frame sequence number
-
-
-class ShmRing:
-    """SPSC byte ring over one ``multiprocessing.shared_memory`` segment.
-
-    Cursors are *logical* (monotonically increasing) offsets; the physical
-    position is ``cursor % capacity``, so ``widx - ridx`` is always the
-    exact number of unread bytes and full/empty never alias.  CPython's
-    allocator-level memory operations make each 8-byte header store
-    effectively atomic under the GIL-free reader; the seqlock exists
-    because the *pair* (cursor advance + payload bytes) is not.
-    """
-
-    def __init__(self, shm: Any, *, owner: bool, spin: int = 10_000) -> None:
-        self._shm = shm
-        self._buf = shm.buf
-        self.owner = bool(owner)
-        self._spin = int(spin)
-        self._closed = False
-        self.capacity = int(self._get(_OFF_CAPACITY))
-
-    # -- construction -------------------------------------------------- #
-    @classmethod
-    def create(cls, capacity: int = DEFAULT_RING_NBYTES, *, spin: int = 10_000) -> "ShmRing":
-        """Allocate a fresh segment and initialise the header."""
-        if capacity < _FRAME_HEADER.size + 1:
-            raise ValueError(f"ring capacity too small: {capacity}")
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=_HEADER_NBYTES + capacity)
-        ring = cls.__new__(cls)
-        ring._shm = shm
-        ring._buf = shm.buf
-        ring.owner = True
-        ring._spin = int(spin)
-        ring._closed = False
-        ring._buf[:_HEADER_NBYTES] = bytes(_HEADER_NBYTES)
-        ring._set(_OFF_CAPACITY, capacity)
-        ring._set(_OFF_MAGIC, _MAGIC)
-        ring.capacity = int(capacity)
-        return ring
-
-    @classmethod
-    def attach(cls, name: str, *, spin: int = 10_000) -> "ShmRing":
-        """Map an existing segment by name (the non-owning side)."""
-        from multiprocessing import resource_tracker, shared_memory
-
-        # CPython (3.8–3.12) registers the segment with the resource
-        # tracker on *attach* as well as create; left alone, the shared
-        # tracker would try to unlink a segment the creating side still
-        # owns (and lose the creator's registration, so the real unlink
-        # later warns).  Suppress registration for the duration of the
-        # attach — the creating side keeps sole unlink responsibility.
-        orig_register = resource_tracker.register
-
-        def _no_register(name_: str, rtype: str) -> None:
-            if rtype != "shared_memory":  # pragma: no cover - other rtypes
-                orig_register(name_, rtype)
-
-        resource_tracker.register = _no_register
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = orig_register
-        ring = cls(shm, owner=False, spin=spin)
-        if ring._get(_OFF_MAGIC) != _MAGIC:
-            ring.close()
-            raise ValueError(f"segment {name!r} is not a ShmRing")
-        return ring
-
-    # -- header accessors ---------------------------------------------- #
-    def _get(self, offset: int) -> int:
-        return _U64.unpack_from(self._buf, offset)[0]
-
-    def _set(self, offset: int, value: int) -> None:
-        _U64.pack_into(self._buf, offset, value & 0xFFFF_FFFF_FFFF_FFFF)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def used(self) -> int:
-        """Unread bytes currently in the ring (reader-safe snapshot)."""
-        return self._stable_widx() - self._get(_OFF_RIDX)
-
-    def free(self) -> int:
-        return self.capacity - (self._get(_OFF_WIDX) - self._get(_OFF_RIDX))
-
-    @property
-    def frames_written(self) -> int:
-        """Total frames ever published into the ring."""
-        return self._get(_OFF_FRAMES_WRITTEN)
-
-    @property
-    def frames_read(self) -> int:
-        """Total frames ever consumed from the ring."""
-        return self._get(_OFF_FRAMES_READ)
-
-    def pending_frames(self) -> int:
-        """Frames published but not yet consumed (queue depth on the wire).
-
-        The pipelined master dispatches up to its queue depth ahead of the
-        reader, so this is the per-ring observable that distinguishes "the
-        worker is behind" from "the ring is idle" when diagnosing a stall.
-        """
-        return max(0, self.frames_written - self.frames_read)
-
-    # -- wrap-aware byte copies ---------------------------------------- #
-    def _write_bytes(self, at: int, data: bytes) -> None:
-        pos = at % self.capacity
-        first = min(len(data), self.capacity - pos)
-        lo = _HEADER_NBYTES + pos
-        self._buf[lo : lo + first] = data[:first]
-        if first < len(data):
-            rest = len(data) - first
-            self._buf[_HEADER_NBYTES : _HEADER_NBYTES + rest] = data[first:]
-
-    def _read_bytes(self, at: int, n: int) -> bytes:
-        pos = at % self.capacity
-        first = min(n, self.capacity - pos)
-        lo = _HEADER_NBYTES + pos
-        out = bytes(self._buf[lo : lo + first])
-        if first < n:
-            out += bytes(self._buf[_HEADER_NBYTES : _HEADER_NBYTES + (n - first)])
-        return out
-
-    # -- seqlock -------------------------------------------------------- #
-    def _stable_widx(self) -> int:
-        """Consistent write-cursor snapshot; spins across in-flight writes."""
-        for attempt in range(self._spin):
-            seq = self._get(_OFF_WSEQ)
-            if seq & 1:  # writer mid-frame: cursor may be half-published
-                if attempt > 100:
-                    time.sleep(0.0001)
-                continue
-            widx = self._get(_OFF_WIDX)
-            if self._get(_OFF_WSEQ) == seq:
-                return widx
-        raise TornFrameError(
-            "write seqlock never stabilised "
-            f"(wseq={self._get(_OFF_WSEQ)}; writer crashed mid-frame?)"
-        )
-
-    # -- frame I/O ------------------------------------------------------ #
-    def write(self, payload: bytes) -> int:
-        """Append one frame; returns its sequence number.
-
-        Raises :class:`RingFull` when the frame does not currently fit and
-        :class:`FrameTooLarge` when it never can.
-        """
-        data = bytes(payload)
-        need = _FRAME_HEADER.size + len(data)
-        if need > self.capacity:
-            raise FrameTooLarge(
-                f"frame of {len(data)} bytes exceeds ring capacity {self.capacity}"
-            )
-        widx = self._get(_OFF_WIDX)
-        if need > self.capacity - (widx - self._get(_OFF_RIDX)):
-            raise RingFull(f"{need} bytes needed, {self.free()} free")
-        fseq = (self._get(_OFF_FRAMES_WRITTEN) + 1) & 0xFFFF_FFFF
-        wseq = self._get(_OFF_WSEQ)
-        self._set(_OFF_WSEQ, wseq + 1)  # odd: write in flight
-        self._write_bytes(widx, _FRAME_HEADER.pack(len(data), fseq))
-        self._write_bytes(widx + _FRAME_HEADER.size, data)
-        self._set(_OFF_FRAMES_WRITTEN, self._get(_OFF_FRAMES_WRITTEN) + 1)
-        self._set(_OFF_WIDX, widx + need)
-        self._set(_OFF_WSEQ, wseq + 2)  # even: frame fully published
-        return fseq
-
-    def try_write(self, payload: bytes) -> int | None:
-        """Like :meth:`write` but returns ``None`` instead of RingFull."""
-        try:
-            return self.write(payload)
-        except RingFull:
-            return None
-
-    def read(self) -> bytes:
-        """Consume and return the next frame's payload.
-
-        Raises :class:`RingEmpty` with no complete frame published and
-        :class:`TornFrameError` when validation fails (see class doc).
-        """
-        widx = self._stable_widx()
-        ridx = self._get(_OFF_RIDX)
-        avail = widx - ridx
-        if avail == 0:
-            raise RingEmpty("no frame in ring")
-        if avail < _FRAME_HEADER.size:
-            raise TornFrameError(f"partial frame header: {avail} bytes readable")
-        length, fseq = _FRAME_HEADER.unpack(self._read_bytes(ridx, _FRAME_HEADER.size))
-        expected = (self._get(_OFF_FRAMES_READ) + 1) & 0xFFFF_FFFF
-        if fseq != expected:
-            raise TornFrameError(
-                f"frame sequence {fseq} != expected {expected} (torn or corrupt ring)"
-            )
-        if length > avail - _FRAME_HEADER.size:
-            raise TornFrameError(
-                f"frame claims {length} payload bytes, only "
-                f"{avail - _FRAME_HEADER.size} readable"
-            )
-        data = self._read_bytes(ridx + _FRAME_HEADER.size, length)
-        self._set(_OFF_FRAMES_READ, self._get(_OFF_FRAMES_READ) + 1)
-        self._set(_OFF_RIDX, ridx + _FRAME_HEADER.size + length)
-        return data
-
-    def poll(self) -> bool:
-        """Whether :meth:`read` would return (or raise Torn) right now."""
-        try:
-            return self.used() > 0
-        except TornFrameError:
-            return True  # let read() surface the diagnosis
-
-    # -- lifecycle ------------------------------------------------------ #
-    def close(self) -> None:
-        """Drop this side's mapping; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._buf = None  # release the exported memoryview before unmap
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Remove the segment name (owner side, after both closed)."""
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-
-# ---------------------------------------------------------------------- #
-# Transport availability / selection
-# ---------------------------------------------------------------------- #
-
-_AVAILABLE: bool | None = None
-
-
-def shm_available() -> bool:
-    """Whether POSIX shared memory verifiably works on this host (cached)."""
-    global _AVAILABLE
-    if _AVAILABLE is None:
-        if os.name != "posix":
-            _AVAILABLE = False
-        else:
-            try:
-                ring = ShmRing.create(capacity=64)
-                ring.close()
-                ring.unlink()
-                _AVAILABLE = True
-            except Exception:
-                _AVAILABLE = False
-    return _AVAILABLE
-
-
-def resolve_transport(explicit: str | None = None) -> str:
-    """Pick ``"shm"`` or ``"pipe"``: explicit > ``REPRO_TRANSPORT`` > auto.
-
-    An explicit/env request for ``shm`` on a host without working POSIX
-    shared memory degrades to ``pipe`` (the automatic-fallback contract)
-    rather than erroring; anything other than ``shm``/``pipe`` is rejected.
-    """
-    choice = explicit
-    if choice is None:
-        env = os.environ.get("REPRO_TRANSPORT", "").strip().lower()
-        choice = env or None
-    if choice is not None:
-        choice = choice.strip().lower()
-        if choice not in ("shm", "pipe"):
-            raise ValueError(f"unknown transport {choice!r}; expected 'shm' or 'pipe'")
-    if choice is None:
-        choice = "shm" if shm_available() else "pipe"
-    elif choice == "shm" and not shm_available():
-        choice = "pipe"
-    return choice
+def _take(buf: bytes, off: int, n: int) -> bytes:
+    if off + n > len(buf):
+        raise FrameError(f"truncated frame: {n} bytes wanted at {off}, {len(buf)} held")
+    return bytes(buf[off : off + n])
 
 
 # ---------------------------------------------------------------------- #
@@ -438,8 +116,8 @@ class WireCodec:
     One codec per (endpoint, instance): ``n_items`` fixes the packed
     solution width, so frames need no per-solution length field.  Frame
     sizes are deterministic functions of the message content — identical
-    on both sides and across transports, which is what lets the doorbell
-    path charge exactly the bytes the in-band path would.
+    on both sides and on every backend, which is what makes the byte
+    ledgers backend-independent.
     """
 
     def __init__(self, n_items: int) -> None:
@@ -449,16 +127,20 @@ class WireCodec:
     def solution_nbytes(self) -> int:
         return _VALUE.size + (self.n_items + 7) // 8
 
+    def frame_nbytes(self, obj: SlaveTask | SlaveReport) -> int:
+        """Length of ``obj``'s frame: the bytes every backend charges."""
+        return len(self.encode(obj))
+
     # -- solutions ------------------------------------------------------ #
     def _put_solution(self, out: bytearray, sol: Solution) -> None:
         out += _VALUE.pack(sol.value)
         out += sol.packed_bytes()
 
     def _take_solution(self, buf: bytes, off: int) -> tuple[Solution, int]:
-        (value,) = _VALUE.unpack_from(buf, off)
+        (value,) = _unpack(_VALUE, buf, off)
         off += _VALUE.size
         nb = (self.n_items + 7) // 8
-        sol = _solution_from_wire(bytes(buf[off : off + nb]), self.n_items, value)
+        sol = _solution_from_wire(_take(buf, off, nb), self.n_items, value)
         return sol, off + nb
 
     # -- tasks ----------------------------------------------------------- #
@@ -501,40 +183,40 @@ class WireCodec:
         return bytes(out)
 
     def decode_task(self, frame: bytes) -> SlaveTask:
-        kind, seed, seq_id, round_index, _, lt, drop, local, flags = (
-            _TASK_HEAD.unpack_from(frame, 0)
+        kind, seed, seq_id, round_index, _, lt, drop, local, flags = _unpack(
+            _TASK_HEAD, frame, 0
         )
         if kind != KIND_TASK:
-            raise ValueError(f"not a task frame (kind={kind})")
+            raise FrameError(f"not a task frame (kind={kind})")
         off = _TASK_HEAD.size
         max_evaluations = max_moves = None
         wall_seconds = target_value = None
         if flags & _BUDGET_EVALS:
-            (max_evaluations,) = _I64.unpack_from(frame, off)
+            (max_evaluations,) = _unpack(_I64, frame, off)
             off += _I64.size
         if flags & _BUDGET_MOVES:
-            (max_moves,) = _I64.unpack_from(frame, off)
+            (max_moves,) = _unpack(_I64, frame, off)
             off += _I64.size
         if flags & _BUDGET_WALL:
-            (wall_seconds,) = _VALUE.unpack_from(frame, off)
+            (wall_seconds,) = _unpack(_VALUE, frame, off)
             off += _VALUE.size
         if flags & _BUDGET_TARGET:
-            (target_value,) = _VALUE.unpack_from(frame, off)
+            (target_value,) = _unpack(_VALUE, frame, off)
             off += _VALUE.size
         core_ratio = 1.0
         if flags & _HAS_CORE_RATIO:
-            (core_ratio,) = _VALUE.unpack_from(frame, off)
+            (core_ratio,) = _unpack(_VALUE, frame, off)
             off += _VALUE.size
         pattern = None
         if flags & _HAS_PATTERN:
             nb = (self.n_items + 7) // 8
             pattern = _pattern_from_wire(
-                bytes(frame[off : off + nb]),
-                bytes(frame[off + nb : off + 2 * nb]),
-                self.n_items,
+                _take(frame, off, nb), _take(frame, off + nb, nb), self.n_items
             )
             off += 2 * nb
         x_init, off = self._take_solution(frame, off)
+        if off != len(frame):
+            raise FrameError(f"task frame has {len(frame) - off} trailing bytes")
         return SlaveTask(
             x_init=x_init,
             strategy=Strategy(lt, drop, local, core_ratio),
@@ -561,16 +243,18 @@ class WireCodec:
 
     def decode_report(self, frame: bytes) -> SlaveReport:
         kind, slave_id, seq_id, round_index, initial_value, evaluations, moves, n_elite = (
-            _REPORT_HEAD.unpack_from(frame, 0)
+            _unpack(_REPORT_HEAD, frame, 0)
         )
         if kind != KIND_REPORT:
-            raise ValueError(f"not a report frame (kind={kind})")
+            raise FrameError(f"not a report frame (kind={kind})")
         off = _REPORT_HEAD.size
         best, off = self._take_solution(frame, off)
         elite = []
         for _ in range(n_elite):
             sol, off = self._take_solution(frame, off)
             elite.append(sol)
+        if off != len(frame):
+            raise FrameError(f"report frame has {len(frame) - off} trailing bytes")
         return SlaveReport(
             slave_id=slave_id,
             best=best,
@@ -589,8 +273,8 @@ class WireCodec:
         """Pack ``(slave_id, task)`` entries; also returns per-slave sizes.
 
         The per-entry sizes are the *individual* task-frame lengths (the
-        batch envelope is uncharged), so the master's byte ledger for a
-        batched round equals the ledger K per-message sends would produce.
+        batch envelope is uncharged), so a batched send books exactly the
+        bytes the same tasks would as single frames.
         """
         out = bytearray(_BATCH_HEAD.pack(KIND_TASK_BATCH, len(entries)))
         sizes: dict[int, int] = {}
@@ -601,23 +285,31 @@ class WireCodec:
             sizes[slave_id] = len(frame)
         return bytes(out), sizes
 
+    def _entries(self, frame: bytes, want_kind: int) -> list[tuple[int, bytes]]:
+        """Split a batch envelope into ``(slave_id, entry frame)`` pairs."""
+        kind, count = _unpack(_BATCH_HEAD, frame, 0)
+        if kind != want_kind:
+            raise FrameError(f"batch kind {kind} where {want_kind} was expected")
+        off = _BATCH_HEAD.size
+        entries = []
+        for _ in range(count):
+            slave_id, length = _unpack(_ENTRY_HEAD, frame, off)
+            off += _ENTRY_HEAD.size
+            entries.append((slave_id, _take(frame, off, length)))
+            off += length
+        if off != len(frame):
+            raise FrameError(f"batch frame has {len(frame) - off} trailing bytes")
+        return entries
+
     def decode_task_batch(
         self, frame: bytes
     ) -> tuple[list[tuple[int, SlaveTask]], list[int]]:
         """Unpack a task batch; returns the entries and per-entry sizes."""
-        kind, count = _BATCH_HEAD.unpack_from(frame, 0)
-        if kind != KIND_TASK_BATCH:
-            raise ValueError(f"not a task batch frame (kind={kind})")
-        off = _BATCH_HEAD.size
-        entries = []
-        sizes: list[int] = []
-        for _ in range(count):
-            slave_id, length = _ENTRY_HEAD.unpack_from(frame, off)
-            off += _ENTRY_HEAD.size
-            entries.append((slave_id, self.decode_task(frame[off : off + length])))
-            sizes.append(length)
-            off += length
-        return entries, sizes
+        entries = self._entries(frame, KIND_TASK_BATCH)
+        return (
+            [(slave_id, self.decode_task(sub)) for slave_id, sub in entries],
+            [len(sub) for _, sub in entries],
+        )
 
     def encode_report_batch(
         self, reports: list[SlaveReport]
@@ -636,19 +328,11 @@ class WireCodec:
         self, frame: bytes
     ) -> tuple[list[SlaveReport], list[int]]:
         """Unpack a report batch; returns the reports and per-entry sizes."""
-        kind, count = _BATCH_HEAD.unpack_from(frame, 0)
-        if kind != KIND_REPORT_BATCH:
-            raise ValueError(f"not a report batch frame (kind={kind})")
-        off = _BATCH_HEAD.size
-        reports: list[SlaveReport] = []
-        sizes: list[int] = []
-        for _ in range(count):
-            _slave_id, length = _ENTRY_HEAD.unpack_from(frame, off)
-            off += _ENTRY_HEAD.size
-            reports.append(self.decode_report(frame[off : off + length]))
-            sizes.append(length)
-            off += length
-        return reports, sizes
+        entries = self._entries(frame, KIND_REPORT_BATCH)
+        return (
+            [self.decode_report(sub) for _, sub in entries],
+            [len(sub) for _, sub in entries],
+        )
 
     # -- dispatch ---------------------------------------------------------- #
     def encode(self, obj: Any) -> bytes:
@@ -660,7 +344,7 @@ class WireCodec:
 
     def decode(self, frame: bytes) -> Any:
         """Decode any codec frame by its kind byte (batches drop sizes)."""
-        kind = frame[0]
+        kind = frame[0] if frame else None
         if kind == KIND_TASK:
             return self.decode_task(frame)
         if kind == KIND_REPORT:
@@ -669,60 +353,33 @@ class WireCodec:
             return self.decode_task_batch(frame)[0]
         if kind == KIND_REPORT_BATCH:
             return self.decode_report_batch(frame)[0]
-        raise ValueError(f"unknown frame kind {kind}")
+        raise FrameError(f"unknown frame kind {kind}")
 
 
 # ---------------------------------------------------------------------- #
-# Comm facade
+# Worker-pipe endpoint
 # ---------------------------------------------------------------------- #
 
 
 class ShmComm:
-    """Pipe-compatible endpoint that moves payloads through shm rings.
+    """Pipe endpoint that moves task/report traffic as codec frames.
 
-    Wraps one :class:`~repro.parallel.comm.PipeComm` (the doorbell) plus an
-    optional send ring and receive ring.  Message family traffic (tasks,
-    reports, batches) is codec-encoded; control messages (STOP, REBIND)
-    keep the pickled pipe path — they are rare, unsized-by-the-farm, and
-    may carry arbitrary objects.
-
-    Per-message carrier selection, visible in the doorbell itself:
-
-    * ring write succeeded → pipe frame ``(tag, nbytes, b"")``;
-    * no ring / ring full  → pipe frame ``(tag, nbytes, frame_bytes)``.
-
-    ``nbytes`` is always the codec frame length, so ``bytes_sent`` /
-    ``bytes_received`` are carrier-independent.  ``pipe_payload_bytes``
-    counts only the in-band bytes — the benchmark's "bytes through pipes"
-    gate asserts it stays ≈ 0 on the shm path.
+    Wraps one :class:`~repro.parallel.comm.PipeComm`.  Message-family
+    traffic (tasks, reports, batches) is codec-encoded and ships in-band as
+    ``(tag, nbytes, frame)``; control messages (STOP, REBIND) keep the
+    pickled pipe path.  ``nbytes`` is always the codec frame length (the
+    per-entry lengths for a batch), so ``bytes_sent`` / ``bytes_received``
+    agree with every other backend's ledger.
     """
 
-    def __init__(
-        self,
-        pipe: PipeComm,
-        codec: WireCodec,
-        *,
-        send_ring: ShmRing | None = None,
-        recv_ring: ShmRing | None = None,
-    ) -> None:
+    def __init__(self, pipe: PipeComm, codec: WireCodec) -> None:
         self._pipe = pipe
         self.codec = codec
-        self.send_ring = send_ring
-        self.recv_ring = recv_ring
         self.bytes_sent = 0
         self.bytes_received = 0
         self.last_payload_nbytes = 0
         #: per-entry codec sizes of the last received message family frame
         self.last_entry_nbytes: list[int] = []
-        #: payload bytes that actually crossed the pipe (overflow/fallback)
-        self.pipe_payload_bytes = 0
-        #: messages whose payload fell back to the in-band pipe carrier
-        self.ring_overflows = 0
-
-    # -- surface parity -------------------------------------------------- #
-    @property
-    def transport(self) -> str:
-        return "shm" if (self.send_ring or self.recv_ring) else "pipe"
 
     @property
     def connection(self) -> Any:
@@ -735,50 +392,23 @@ class ShmComm:
     def poll(self, timeout: float = 0.0) -> bool:
         return self._pipe.poll(timeout)
 
-    def pending_frames(self) -> dict[str, int]:
-        """Frames queued but unconsumed per ring direction (0 when pipe-only).
-
-        Diagnostic for the pipelined dispatch mode: ``send`` counts tasks
-        this endpoint queued ahead of the peer, ``recv`` counts reports the
-        peer queued ahead of us (doorbells may coalesce — several frames can
-        be pending behind one wakeup).
-        """
-        return {
-            "send": self.send_ring.pending_frames() if self.send_ring else 0,
-            "recv": self.recv_ring.pending_frames() if self.recv_ring else 0,
-        }
-
     def close(self) -> None:
-        """Close doorbell and ring mappings; never unlinks (owner's job)."""
         self._pipe.close()
-        for ring in (self.send_ring, self.recv_ring):
-            if ring is not None:
-                ring.close()
 
     # -- send ------------------------------------------------------------- #
-    def _dispatch(self, frame: bytes, tag: int) -> None:
-        self.bytes_sent += len(frame)
-        self.last_payload_nbytes = len(frame)
-        inband: bytes = frame
-        if self.send_ring is not None:
-            try:
-                if self.send_ring.write(frame) is not None:
-                    inband = b""
-            except (RingFull, FrameTooLarge):
-                # Momentarily full or permanently too small: either way the
-                # same frame bytes ride the pipe in-band instead.
-                self.ring_overflows += 1
-        if inband:
-            self.pipe_payload_bytes += len(inband)
-        # Raw doorbell push: PipeComm.send would re-pickle and re-charge.
+    def _dispatch(self, frame: bytes, tag: int, nbytes: int) -> None:
+        self.bytes_sent += nbytes
+        self.last_payload_nbytes = nbytes
+        # Raw push: PipeComm.send would re-size the frame by pickling it.
         self._pipe._check_open()
-        self._pipe.connection.send((tag, len(frame), inband))
+        self._pipe.connection.send((tag, nbytes, frame))
 
     def send(self, obj: Any, dest: int = 0, tag: int = 0) -> None:
         if tag in (TASK_TAG, RESULT_TAG):
-            self._dispatch(self.codec.encode(obj), tag)
+            frame = self.codec.encode(obj)
+            self._dispatch(frame, tag, len(frame))
             return
-        # Control plane (STOP/REBIND/PROBLEM): plain pickled pipe message.
+        # Control plane (STOP/REBIND): plain pickled pipe message.
         before = self._pipe.bytes_sent
         self._pipe.send(obj, dest, tag)
         self.bytes_sent += self._pipe.bytes_sent - before
@@ -787,31 +417,15 @@ class ShmComm:
     def send_tasks(self, entries: list[tuple[int, SlaveTask]]) -> dict[int, int]:
         """Send one batched task message; returns per-slave charged sizes."""
         frame, sizes = self.codec.encode_task_batch(entries)
-        self._dispatch(frame, TASK_TAG)
-        # Charge per-entry frame bytes, not the envelope: identical ledger
-        # to K individual sends (the cross-K differential contract).
-        self.bytes_sent += sum(sizes.values()) - len(frame)
-        self.last_payload_nbytes = sum(sizes.values())
+        self._dispatch(frame, TASK_TAG, sum(sizes.values()))
         return sizes
 
     def send_reports(self, reports: list[SlaveReport]) -> None:
         """Send one batched report message (worker side)."""
         frame, sizes = self.codec.encode_report_batch(reports)
-        self._dispatch(frame, RESULT_TAG)
-        self.bytes_sent += sum(sizes) - len(frame)
-        self.last_payload_nbytes = sum(sizes)
+        self._dispatch(frame, RESULT_TAG, sum(sizes))
 
     # -- receive ----------------------------------------------------------- #
-    def _resolve_payload(self, nbytes: int, inband: bytes) -> bytes:
-        if inband:
-            # Count arrivals too: one endpoint's ledger then bounds the
-            # pipe-payload traffic in *both* directions (the bench gate).
-            self.pipe_payload_bytes += len(inband)
-            return inband
-        if self.recv_ring is None:
-            raise RuntimeError("doorbell without ring: no payload carrier")
-        return self.recv_ring.read()
-
     def recv(self, source: int = 0, tag: int = 0, timeout: float | None = None) -> Any:
         """Receive one message with ``tag``; mirrors ``PipeComm.recv``."""
         got_tag, obj = self.recv_message(timeout=timeout)
@@ -836,17 +450,139 @@ class ShmComm:
             self.last_payload_nbytes = nbytes
             self.last_entry_nbytes = [nbytes]
             return tag, body
-        frame = self._resolve_payload(nbytes, body)
-        kind = frame[0]
+        kind = body[0]
         if kind == KIND_TASK_BATCH:
-            obj, sizes = self.codec.decode_task_batch(frame)
+            obj, sizes = self.codec.decode_task_batch(body)
         elif kind == KIND_REPORT_BATCH:
-            obj, sizes = self.codec.decode_report_batch(frame)
+            obj, sizes = self.codec.decode_report_batch(body)
         else:
-            obj = self.codec.decode(frame)
-            sizes = [len(frame)]
+            obj = self.codec.decode(body)
+            sizes = [len(body)]
         self.last_entry_nbytes = sizes
         self.bytes_received += sum(sizes)
         self.last_payload_nbytes = sum(sizes)
         return tag, obj
 
+
+# ---------------------------------------------------------------------- #
+# Problem frame (socket REBIND)
+# ---------------------------------------------------------------------- #
+
+_PROBLEM_HEAD = struct.Struct("<I")  # JSON header length
+_PROBLEM_KEYS = {"name", "optimum", "best_known", "arrays", "config"}
+_PROBLEM_ARRAYS = ("weights", "capacities", "profits")
+_PROBLEM_DTYPE = "<f8"
+
+
+def _to_json(obj: Any) -> Any:
+    """A config dataclass as plain JSON values (enums by value)."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, tuple):
+        return [_to_json(v) for v in obj]
+    return obj
+
+
+def _from_json(cls: type, data: Any) -> Any:
+    """Rebuild config dataclass ``cls``, typed after its field defaults."""
+    if not isinstance(data, dict):
+        raise FrameError(f"{cls.__name__} fields must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    if set(data) != set(fields):
+        raise FrameError(f"{cls.__name__} fields {sorted(data)} != {sorted(fields)}")
+    kwargs = {}
+    for name, f in fields.items():
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        kwargs[name] = _typed_like(default, data[name], f"{cls.__name__}.{name}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise FrameError(f"invalid {cls.__name__}: {exc}") from None
+
+
+def _typed_like(default: Any, value: Any, where: str) -> Any:
+    if dataclasses.is_dataclass(default):
+        return _from_json(type(default), value)
+    if isinstance(default, enum.Enum):
+        try:
+            return type(default)(value)
+        except ValueError:
+            raise FrameError(f"{where}: unknown value {value!r}") from None
+    if isinstance(default, tuple):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise FrameError(f"{where}: expected {len(default)} values")
+        return tuple(_typed_like(d, v, where) for d, v in zip(default, value))
+    if isinstance(default, float):  # an int may stand in for a float
+        ok = type(value) in (int, float)
+    else:
+        ok = type(value) is type(default)
+    if not ok:
+        raise FrameError(f"{where}: {type(value).__name__} is not {type(default).__name__}")
+    return value
+
+
+def encode_problem(instance: MKPInstance, config: TabuSearchConfig) -> bytes:
+    """The REBIND frame: JSON header, then the raw little-endian arrays."""
+    arrays = [
+        np.ascontiguousarray(getattr(instance, name), dtype=_PROBLEM_DTYPE)
+        for name in _PROBLEM_ARRAYS
+    ]
+    header = json.dumps(
+        {
+            "name": instance.name,
+            "optimum": instance.optimum,
+            "best_known": instance.best_known,
+            "arrays": [
+                [name, _PROBLEM_DTYPE, list(a.shape)]
+                for name, a in zip(_PROBLEM_ARRAYS, arrays)
+            ],
+            "config": _to_json(config),
+        }
+    ).encode()
+    return b"".join([_PROBLEM_HEAD.pack(len(header)), header, *(a.tobytes() for a in arrays)])
+
+
+def decode_problem(frame: bytes) -> tuple[MKPInstance, TabuSearchConfig]:
+    """Inverse of :func:`encode_problem`; rejects any inconsistent frame."""
+    (head_len,) = _unpack(_PROBLEM_HEAD, frame, 0)
+    off = _PROBLEM_HEAD.size
+    try:
+        header = json.loads(_take(frame, off, head_len))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FrameError(f"problem header is not JSON: {exc}") from None
+    off += head_len
+    if not isinstance(header, dict) or set(header) != _PROBLEM_KEYS:
+        raise FrameError(f"problem header keys must be {sorted(_PROBLEM_KEYS)}")
+    specs = header["arrays"]
+    if not isinstance(specs, list) or len(specs) != len(_PROBLEM_ARRAYS):
+        raise FrameError(f"problem arrays must be {list(_PROBLEM_ARRAYS)}")
+    arrays = []
+    for name, spec in zip(_PROBLEM_ARRAYS, specs):
+        if not isinstance(spec, list) or len(spec) != 3 or spec[:2] != [name, _PROBLEM_DTYPE]:
+            raise FrameError(f"array spec {spec!r} is not [{name!r}, {_PROBLEM_DTYPE!r}, shape]")
+        shape = spec[2]
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise FrameError(f"array {name!r}: bad shape {shape!r}")
+        nbytes = math.prod(shape) * np.dtype(_PROBLEM_DTYPE).itemsize
+        data = np.frombuffer(_take(frame, off, nbytes), dtype=_PROBLEM_DTYPE)
+        arrays.append(data.reshape(shape).copy())  # copy: aligned, owned memory
+        off += nbytes
+    if off != len(frame):
+        raise FrameError(f"problem frame has {len(frame) - off} trailing bytes")
+    for key in ("optimum", "best_known"):
+        if header[key] is not None and type(header[key]) not in (int, float):
+            raise FrameError(f"{key} must be a number or null")
+    if not isinstance(header["name"], str):
+        raise FrameError("name must be a string")
+    try:
+        instance = MKPInstance(
+            *arrays,
+            name=header["name"],
+            optimum=header["optimum"],
+            best_known=header["best_known"],
+        )
+    except ValueError as exc:
+        raise FrameError(f"invalid instance: {exc}") from None
+    return instance, _from_json(TabuSearchConfig, header["config"])

@@ -88,50 +88,21 @@ class SolverPool:
         cls,
         size: int,
         n_slaves: int,
-        *,
-        batch_k: int = 1,
         **backend_kwargs: object,
     ) -> "SolverPool":
-        """Pool of :class:`~repro.parallel.backends.SerialBackend` slots.
-
-        ``batch_k`` groups slaves onto shared warm runtimes — the serial
-        mirror of the batched multiprocessing workers, useful when many
-        same-instance service jobs should share one arena.
-        """
-        return cls(
-            [
-                SerialBackend(n_slaves, batch_k=batch_k, **backend_kwargs)
-                for _ in range(size)
-            ]
-        )
+        """Pool of :class:`~repro.parallel.backends.SerialBackend` slots."""
+        return cls([SerialBackend(n_slaves, **backend_kwargs) for _ in range(size)])
 
     @classmethod
     def multiprocessing(
         cls,
         size: int,
         n_slaves: int,
-        *,
-        transport: str | None = None,
-        batch_k: int = 1,
         **backend_kwargs: object,
     ) -> "SolverPool":
-        """Pool of :class:`~repro.parallel.backends.MultiprocessingBackend` slots.
-
-        ``transport`` picks the payload carrier per slot (``"shm"`` ring
-        buffers with doorbell pipes where available, ``"pipe"`` otherwise;
-        ``None`` = auto via ``REPRO_TRANSPORT``/host probe).  ``batch_k``
-        packs that many slaves into each worker process, so a pool serving
-        K same-instance jobs per round runs them through one batched
-        scatter/gather instead of K process wakeups (lease affinity
-        already steers same-instance jobs onto the same warm slot).
-        """
+        """Pool of :class:`~repro.parallel.backends.MultiprocessingBackend` slots."""
         return cls(
-            [
-                MultiprocessingBackend(
-                    n_slaves, transport=transport, batch_k=batch_k, **backend_kwargs
-                )
-                for _ in range(size)
-            ]
+            [MultiprocessingBackend(n_slaves, **backend_kwargs) for _ in range(size)]
         )
 
     @classmethod

@@ -1,11 +1,12 @@
-"""Reusable differential harness: reference path vs shm/batched path.
+"""Reusable differential harness: every backend runs the same trajectory.
 
 The tabu-search reproduction defines correctness as *bit-identical
 incumbent trajectories*: two executions of the same (instance, seed,
 variant) must agree on every solution, every round statistic, and every
-byte charged to the farm clock — regardless of which transport carried
-the messages or how many slaves shared a worker.  This module packages
-that contract so any test can assert it in one call:
+byte charged to the farm clock — regardless of which backend carried the
+messages.  Every backend charges a message at its wire-codec frame length,
+so the byte ledgers (and the virtual seconds built on them) agree too.
+This module packages that contract so any test can assert it in one call:
 
 ``run_canonical``
     Solve a variant with an optional externally-constructed backend and
@@ -17,6 +18,10 @@ that contract so any test can assert it in one call:
     Run one case under several backend factories and assert every
     canonical payload is byte-identical to the reference's, reporting
     the first differing JSON path on failure.
+
+``backend_matrix``
+    The standard factories: serial, multiprocessing under fork and spawn,
+    and the socket backend with two local workers.
 
 Wall-measured fields canonicalized away (everything else — virtual
 seconds, byte ledgers, value histories, per-slave accounting — must
@@ -36,12 +41,14 @@ from typing import Any, Callable, Mapping
 from repro.analysis.serialize import result_to_dict
 from repro.core.instance import MKPInstance
 from repro.master.result import ParallelRunResult
-from repro.parallel.backends import Backend
+from repro.parallel.backend_socket import SocketBackend
+from repro.parallel.backends import Backend, MultiprocessingBackend, SerialBackend
 from repro.variants.runner import solve_cts1, solve_cts2, solve_its
 
 __all__ = [
     "VARIANTS",
     "assert_differential",
+    "backend_matrix",
     "canonical_bytes",
     "canonicalize",
     "first_difference",
@@ -163,3 +170,21 @@ def assert_differential(
             raise AssertionError(
                 f"run {label!r} diverged from reference {labels[0]!r}: {diff}"
             )
+
+
+def _socket(n_slaves: int, mp_context: str) -> SocketBackend:
+    backend = SocketBackend(n_slaves, min_workers=2, round_timeout_s=30.0)
+    backend.attach_local_workers(2, mp_context=mp_context)
+    return backend
+
+
+def backend_matrix(
+    n_slaves: int = 4, socket_context: str = "fork"
+) -> dict[str, Callable[[], Backend]]:
+    """Serial reference, mp over fork and spawn, socket with 2 local workers."""
+    return {
+        "serial": lambda: SerialBackend(n_slaves),
+        "mp-fork": lambda: MultiprocessingBackend(n_slaves, mp_context="fork"),
+        "mp-spawn": lambda: MultiprocessingBackend(n_slaves, mp_context="spawn"),
+        "socket": lambda: _socket(n_slaves, socket_context),
+    }

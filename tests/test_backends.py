@@ -301,34 +301,7 @@ class TestBatchedKernel:
 
 
 class TestBatchedBackends:
-    """batch_k groups slaves onto shared runtimes without changing reports."""
-
-    def test_serial_batched_reports_match_per_slave(self, small_instance):
-        tasks = make_tasks(small_instance, 4, evals=600)
-        with SerialBackend(4) as ref, SerialBackend(4, batch_k=3) as batched:
-            ref.start(small_instance, TabuSearchConfig(nb_div=100))
-            batched.start(small_instance, TabuSearchConfig(nb_div=100))
-            a = ref.run_round(list(tasks))
-            b = batched.run_round(list(tasks))
-            # 4 slaves over groups of 3 → two warm runtimes, not four.
-            assert len(batched._runtimes) == 2
-        assert [r.slave_id for r in b] == [r.slave_id for r in a]
-        assert [r.best.value for r in b] == [r.best.value for r in a]
-        assert [r.evaluations for r in b] == [r.evaluations for r in a]
-
-    def test_mp_batched_spawns_fewer_workers(self, small_instance):
-        with MultiprocessingBackend(4, batch_k=2) as backend:
-            backend.start(small_instance, TabuSearchConfig(nb_div=100))
-            assert backend.n_workers == 2
-            assert len(backend._procs) == 2
-            reports = backend.run_round(make_tasks(small_instance, 4, evals=600))
-            assert [r.slave_id for r in reports] == [0, 1, 2, 3]
-
-    def test_batch_k_validation(self):
-        with pytest.raises(ValueError):
-            SerialBackend(2, batch_k=0)
-        with pytest.raises(ValueError):
-            MultiprocessingBackend(2, batch_k=0)
+    """The batch-envelope runtime path that serves async ``dispatch``."""
 
     def test_batched_runtime_audit_rejects_corrupt_x_init(self, small_instance):
         from repro.core import TabuSearchConfig as _Cfg

@@ -22,8 +22,6 @@ from repro.core import (
     TabuList,
     greedy_solution,
     mean_pairwise_distance,
-    set_wire_codec,
-    wire_codec_enabled,
 )
 from repro.core.bitset import (
     bytes_to_words,
@@ -280,27 +278,6 @@ class TestWireCodec:
         clone = pickle.loads(pickle.dumps(sol))
         assert clone == sol
         assert clone.x.dtype == np.int8
-        # The unpickled copy arrives with its packing memo pre-seeded.
-        assert "_packed_words" in clone.__dict__
-
-    def test_codec_off_roundtrip_and_size(self):
-        rng = np.random.default_rng(500)
-        x = (rng.random(500) < 0.4).astype(np.int8)
-        sol = Solution(x, 7.0)
-        assert wire_codec_enabled()
-        packed_size = len(pickle.dumps(sol))
-        try:
-            set_wire_codec(False)
-            assert not wire_codec_enabled()
-            dense_blob = pickle.dumps(sol)
-            assert pickle.loads(dense_blob) == sol
-        finally:
-            set_wire_codec(True)
-        # The ISSUE's headline: ~64 payload bytes on the wire for 500 items
-        # instead of a pickled dense ndarray.
-        assert packed_size < 160
-        assert len(dense_blob) > 5 * packed_size - 100  # dense carries n bytes
-        assert len(dense_blob) / packed_size > 4.0
 
     def test_message_roundtrip(self):
         rng = np.random.default_rng(9)

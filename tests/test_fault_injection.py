@@ -414,6 +414,36 @@ class TestMultiprocessingChaos:
             # sum over ranks.
             assert backend.last_phase_seconds["gather"] < 0.7 + 2.0
 
+    def test_seeded_chaos_solve_keeps_incumbent_monotone(self, small_instance):
+        from repro.variants import solve_cts2
+
+        plan = FaultPlan.from_seed(
+            int(os.environ.get("REPRO_CHAOS_SEED", "404")),
+            n_slaves=3,
+            n_rounds=4,
+            crash_rate=0.1,
+            report_drop_rate=0.1,
+            duplicate_rate=0.15,
+            delay_rate=0.15,
+            straggle_rate=0.2,
+        )
+        backend = MultiprocessingBackend(3, fault_plan=plan, round_timeout_s=2.0)
+        try:
+            result = solve_cts2(
+                small_instance,
+                n_slaves=3,
+                n_rounds=4,
+                rng_seed=11,
+                max_evaluations=600,
+                backend=backend,
+            )
+        finally:
+            backend.shutdown()
+        history = [float(v) for v in result.value_history]
+        assert history, "chaos run produced no incumbent history"
+        assert history == sorted(history), "incumbent regressed under chaos"
+        assert result.best.value == history[-1]
+
 
 class TestAsyncDegraded:
     def test_no_plan_matches_empty_plan(self, small_instance):
@@ -476,148 +506,6 @@ class TestBackendRESULTTagUnchanged:
     def test_result_tag_constant(self):
         # The wire protocol stays frozen: chaos wraps it, never rewrites it.
         assert RESULT_TAG == 2
-
-
-@pytest.mark.slow
-class TestShmTransportChaos:
-    """ISSUE-7 satellite: the chaos matrix replayed over the shm transport.
-
-    The shm rings are per-worker resources, so every fault the pipe path
-    survives must be survived here too — plus two shm-only hazards: a
-    crashed worker must come back with *fresh* rings (the old segment died
-    with its seqlock possibly mid-write), and a host that cannot allocate
-    segments must degrade to pipe doorbell semantics without changing a
-    single report.
-    """
-
-    def test_worker_crash_respawns_with_fresh_rings(self, small_instance):
-        plan = FaultPlan(events=(FaultEvent(0, 0, FaultKind.CRASH),))
-        with MultiprocessingBackend(
-            2, transport="shm", fault_plan=plan, round_timeout_s=30.0
-        ) as backend:
-            backend.start(small_instance, TabuSearchConfig(nb_div=100))
-            if backend.transport != "shm":
-                pytest.skip("POSIX shared memory unavailable")
-            old_ring_names = {r.name for r in backend._rings[0]}
-            first = backend.run_round(make_tasks(small_instance, 2, evals=500))
-            assert [r.slave_id for r in first] == [1]
-            second = backend.run_round(
-                make_tasks(small_instance, 2, evals=500, round_index=1)
-            )
-            assert [r.slave_id for r in second] == [0, 1]
-            assert backend.respawns[0] == 1
-            # The respawned worker speaks shm again, over *new* segments.
-            assert backend.worker_transports[0] == "shm"
-            assert {r.name for r in backend._rings[0]}.isdisjoint(old_ring_names)
-
-    def test_crashed_worker_recores_over_fresh_rings(self, small_instance):
-        """ISSUE-8 x ISSUE-7: the re-core-from-task guarantee holds when the
-        respawned worker also has to renegotiate shm rings — the pattern
-        travels through the binary codec, not the pickle fallback."""
-        import numpy as np
-
-        from repro.core.reduction import CoreSelector
-
-        pattern = CoreSelector(small_instance).pattern(0.5, variant=1)
-        out = ~pattern.core_mask
-        plan = FaultPlan(events=(FaultEvent(0, 0, FaultKind.CRASH),))
-        with MultiprocessingBackend(
-            2, transport="shm", fault_plan=plan, round_timeout_s=30.0
-        ) as backend:
-            backend.start(small_instance, TabuSearchConfig(nb_div=100))
-            if backend.transport != "shm":
-                pytest.skip("POSIX shared memory unavailable")
-            first = backend.run_round(
-                make_core_tasks(small_instance, pattern, 2, evals=500)
-            )
-            assert [r.slave_id for r in first] == [1]
-            second = backend.run_round(
-                make_core_tasks(small_instance, pattern, 2, evals=500, round_index=1)
-            )
-            assert [r.slave_id for r in second] == [0, 1]
-            assert backend.respawns[0] == 1
-            assert backend.worker_transports[0] == "shm"
-            for report in first + second:
-                x = report.best.x
-                assert small_instance.is_feasible(x)
-                assert np.array_equal(x[out], pattern.fixed_values[out])
-
-    def test_ring_allocation_failure_degrades_to_pipe(self, small_instance):
-        from repro.parallel import backends as backends_mod
-
-        plan = FaultPlan(events=(FaultEvent(0, 1, FaultKind.STRAGGLE, factor=4.0),))
-        original_create = backends_mod.ShmRing.create
-
-        def failing_create(*args, **kwargs):
-            raise OSError("no space on /dev/shm")
-
-        backends_mod.ShmRing.create = failing_create
-        try:
-            with MultiprocessingBackend(
-                2, transport="shm", fault_plan=plan, round_timeout_s=30.0
-            ) as backend:
-                backend.start(small_instance, TabuSearchConfig(nb_div=100))
-                # Degraded: doorbell-only pipes, but the same chaos replay.
-                assert backend.worker_transports == ["pipe", "pipe"]
-                assert backend.fault_counters["shm_fallback"] == 2
-                reports = backend.run_round(make_tasks(small_instance, 2, evals=500))
-                assert [r.slave_id for r in reports] == [0, 1]
-        finally:
-            backends_mod.ShmRing.create = original_create
-
-    def test_straggler_idle_attribution_over_shm(self, small_instance):
-        plan = FaultPlan(events=(FaultEvent(0, 0, FaultKind.STRAGGLE, factor=15.0),))
-        with MultiprocessingBackend(
-            3, transport="shm", fault_plan=plan, round_timeout_s=30.0
-        ) as backend:
-            backend.start(small_instance, TabuSearchConfig(nb_div=100))
-            if backend.transport != "shm":
-                pytest.skip("POSIX shared memory unavailable")
-            backend.run_round(make_tasks(small_instance, 3, evals=300, round_index=1))
-            reports = backend.run_round(make_tasks(small_instance, 3, evals=500))
-            assert [r.slave_id for r in reports] == [0, 1, 2]
-            idle = backend.last_gather_idle_s
-            assert idle[0] >= 0.6
-            assert idle[1] < 0.5 and idle[2] < 0.5
-
-    @pytest.mark.parametrize("batch_k", [1, 2])
-    def test_seeded_chaos_solve_keeps_incumbent_monotone(
-        self, small_instance, batch_k
-    ):
-        from repro.variants import solve_cts2
-
-        plan = FaultPlan.from_seed(
-            int(os.environ.get("REPRO_CHAOS_SEED", "404")),
-            n_slaves=3,
-            n_rounds=4,
-            crash_rate=0.1,
-            report_drop_rate=0.1,
-            duplicate_rate=0.15,
-            delay_rate=0.15,
-            straggle_rate=0.2,
-        )
-        backend = MultiprocessingBackend(
-            3,
-            transport="shm",
-            batch_k=batch_k,
-            fault_plan=plan,
-            round_timeout_s=2.0,
-        )
-        try:
-            result = solve_cts2(
-                small_instance,
-                n_slaves=3,
-                n_rounds=4,
-                rng_seed=11,
-                max_evaluations=600,
-                backend=backend,
-            )
-        finally:
-            backend.shutdown()
-        history = [float(v) for v in result.value_history]
-        assert history, "chaos run produced no incumbent history"
-        assert history == sorted(history), "incumbent regressed under chaos"
-        assert result.best.value == history[-1]
 
 
 class TestSocketBackendChaos:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pytest
 
 from repro.core.strategy import Strategy
 from repro.core.tabu_search import TabuSearch, TabuSearchConfig
@@ -94,6 +93,20 @@ class TestVariantTrajectories:
         assert result.total_evaluations == GOLDEN_CTS2["evaluations"]
         assert [float(v) for v in result.value_history] == GOLDEN_CTS2["value_history"]
 
+    def test_cts2_golden_run_over_mp_backend(self, mp_context):
+        from repro.parallel.backends import MultiprocessingBackend
+
+        backend = MultiprocessingBackend(3, mp_context=mp_context)
+        try:
+            result = solve_cts2(
+                _instance(), n_slaves=3, rng_seed=7, max_evaluations=8_000, backend=backend
+            )
+        finally:
+            backend.shutdown()
+        assert result.best.value == GOLDEN_CTS2["best"]
+        assert result.total_evaluations == GOLDEN_CTS2["evaluations"]
+        assert [float(v) for v in result.value_history] == GOLDEN_CTS2["value_history"]
+
 
 class TestThreadTrace:
     def test_move_level_trace_is_bit_identical(self):
@@ -125,69 +138,12 @@ class TestThreadTrace:
         assert ts.counters.moves == result.moves
 
 
-class TestTransportBatchGolden:
-    """ISSUE-7: the RunResult v2 serialization is byte-identical across
-    transport ∈ {pipe, shm} × batch K ∈ {1, 4}, and the shm/batched path
-    reproduces the golden CTS2 fingerprint exactly.
-
-    The canonical form strips only wall-clock measurements (see
-    ``tests/differential``); everything else — value history, per-round
-    accounting, byte ledgers, the structured trace — must match the
-    pipe/K=1 reference byte for byte.
-    """
-
-    _MATRIX = [("pipe", 1), ("pipe", 4), ("shm", 1), ("shm", 4)]
-    _cache: dict = {}
-
-    @classmethod
-    def _canonical(cls, transport: str, batch_k: int) -> bytes:
-        from repro.parallel.backends import MultiprocessingBackend
-
-        from tests.differential import run_canonical
-
-        key = (transport, batch_k)
-        if key not in cls._cache:
-            cls._cache[key] = run_canonical(
-                _instance(),
-                backend_factory=lambda: MultiprocessingBackend(
-                    4, transport=transport, batch_k=batch_k
-                ),
-                max_evaluations=2_000,
-            )
-        return cls._cache[key]
-
-    @pytest.mark.parametrize(("transport", "batch_k"), _MATRIX[1:])
-    def test_serialization_is_byte_identical_to_pipe_reference(
-        self, transport, batch_k
-    ):
-        reference = self._canonical("pipe", 1)
-        assert self._canonical(transport, batch_k) == reference
-
-    def test_cts2_golden_fingerprint_over_shm_batched_backend(self):
-        from repro.parallel.backends import MultiprocessingBackend
-
-        backend = MultiprocessingBackend(3, transport="shm", batch_k=3)
-        try:
-            result = solve_cts2(
-                _instance(),
-                n_slaves=3,
-                rng_seed=7,
-                max_evaluations=8_000,
-                backend=backend,
-            )
-        finally:
-            backend.shutdown()
-        assert result.best.value == GOLDEN_CTS2["best"]
-        assert result.total_evaluations == GOLDEN_CTS2["evaluations"]
-        assert [float(v) for v in result.value_history] == GOLDEN_CTS2["value_history"]
-
-
 class TestCoreRatioGolden:
     """ISSUE-8: ``core_ratio=1.0`` is the degenerate full-space setting —
     the LP-core machinery must be a strict no-op on it.  The explicit knob
     (not just the ``None`` default) must reproduce the golden CTS2
-    fingerprint bit for bit on every backend/transport, proving that the
-    Strategy wire form, the SGP bounds plumbing, and the runtime's pattern
+    fingerprint bit for bit on the serial and multiprocessing backends,
+    proving that the Strategy wire form, the SGP bounds plumbing, and the runtime's pattern
     dispatch add zero drift when no variable is actually fixed.
     """
 
@@ -215,11 +171,10 @@ class TestCoreRatioGolden:
         )
         self._assert_golden(result)
 
-    @pytest.mark.parametrize(("transport", "batch_k"), [("pipe", 1), ("shm", 3)])
-    def test_cts2_core_ratio_one_golden_over_mp_backends(self, transport, batch_k):
+    def test_cts2_core_ratio_one_golden_over_mp_backends(self, mp_context):
         from repro.parallel.backends import MultiprocessingBackend
 
-        backend = MultiprocessingBackend(3, transport=transport, batch_k=batch_k)
+        backend = MultiprocessingBackend(3, mp_context=mp_context)
         try:
             result = solve_cts2(
                 _instance(),

@@ -12,15 +12,12 @@ Pins the async-mode contracts the ISSUE-9 tentpole promises:
   :class:`RoundStats` per round with a monotone incumbent,
 * the staleness bound holds (``pipeline_stats["max_staleness"]`` never
   exceeds the configured cap),
-* chaos legs over both the pipe and shm transports: a straggler inflates
+* chaos legs over the multiprocessing backend: a straggler inflates
   only its own burst latency, a crashed worker is failed + respawned, a
   duplicated report is counted and folded once, a dropped report is timed
   out without deadlocking,
 * the recorder stream stays schema-valid and carries one
   ``burst_telemetry`` event per (slave, burst) resolution.
-
-The CI transport job replays this module under ``REPRO_TRANSPORT=shm`` on
-both fork and spawn start methods.
 """
 
 from __future__ import annotations
@@ -286,34 +283,22 @@ def run_async_master(
     return master.run(budget_per_slave=Budget(max_evaluations=EVALS))
 
 
-def _chaos_backend(transport, n_slaves, plan, **kwargs):
-    """MP backend over the requested transport; skip if shm is unavailable."""
-    backend = MultiprocessingBackend(
-        n_slaves, transport=transport, fault_plan=plan, **kwargs
-    )
-    return backend
-
-
-def _skip_if_degraded(backend, transport):
-    if transport == "shm" and backend.transport != "shm":
-        backend.shutdown()
-        pytest.skip("POSIX shared memory unavailable")
+def _chaos_backend(n_slaves, plan, **kwargs):
+    return MultiprocessingBackend(n_slaves, fault_plan=plan, **kwargs)
 
 
 @pytest.mark.slow
 @pytest.mark.chaos
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
 class TestMultiprocessingAsyncChaos:
-    def test_straggler_stalls_only_its_own_bursts(self, small_instance, transport):
+    def test_straggler_stalls_only_its_own_bursts(self, small_instance):
         # Factor 15 => the worker sleeps min(0.05 * 14, 1.0) = 0.7 s at
         # burst 1 before reporting.
         plan = FaultPlan(
             events=(FaultEvent(1, 0, FaultKind.STRAGGLE, factor=15.0),)
         )
-        backend = _chaos_backend(transport, N_SLAVES, plan)
+        backend = _chaos_backend(N_SLAVES, plan)
         with backend:
             backend.start(small_instance, TabuSearchConfig(nb_div=100))
-            _skip_if_degraded(backend, transport)
             # Warm-up round past the fault schedule: worker startup must
             # not pollute the burst latencies asserted below.
             backend.run_round(_warmup_tasks(small_instance, N_SLAVES))
@@ -326,12 +311,11 @@ class TestMultiprocessingAsyncChaos:
         assert idle[0] >= 0.6
         assert all(idle[k] < 0.5 for k in idle if k != 0)
 
-    def test_crashed_worker_is_failed_and_respawned(self, small_instance, transport):
+    def test_crashed_worker_is_failed_and_respawned(self, small_instance):
         plan = FaultPlan(events=(FaultEvent(0, 0, FaultKind.CRASH),))
-        backend = _chaos_backend(transport, 2, plan, round_timeout_s=30.0)
+        backend = _chaos_backend(2, plan, round_timeout_s=30.0)
         with backend:
             backend.start(small_instance, TabuSearchConfig(nb_div=100))
-            _skip_if_degraded(backend, transport)
             result = solve_async(
                 small_instance, backend=backend, n_slaves=2, n_rounds=6
             )
@@ -344,14 +328,11 @@ class TestMultiprocessingAsyncChaos:
         assert history == sorted(history), "incumbent regressed under crash"
         assert result.n_rounds == 6
 
-    def test_duplicate_report_is_counted_and_folded_once(
-        self, small_instance, transport
-    ):
+    def test_duplicate_report_is_counted_and_folded_once(self, small_instance):
         plan = FaultPlan(events=(FaultEvent(0, 1, FaultKind.DUPLICATE_REPORT),))
-        backend = _chaos_backend(transport, N_SLAVES, plan)
+        backend = _chaos_backend(N_SLAVES, plan)
         with backend:
             backend.start(small_instance, TabuSearchConfig(nb_div=100))
-            _skip_if_degraded(backend, transport)
             result = solve_async(small_instance, backend=backend)
         assert result.fault_summary.get("duplicates", 0) >= 1
         # The duplicate never double-resolves a burst: all P*R bursts
@@ -360,14 +341,11 @@ class TestMultiprocessingAsyncChaos:
         history = result.value_history
         assert history == sorted(history)
 
-    def test_dropped_report_times_out_not_deadlocks(
-        self, small_instance, transport
-    ):
+    def test_dropped_report_times_out_not_deadlocks(self, small_instance):
         plan = FaultPlan(events=(FaultEvent(0, 1, FaultKind.DROP_REPORT),))
-        backend = _chaos_backend(transport, 2, plan)
+        backend = _chaos_backend(2, plan)
         with backend:
             backend.start(small_instance, TabuSearchConfig(nb_div=100))
-            _skip_if_degraded(backend, transport)
             result = run_async_master(
                 small_instance, backend, n_slaves=2, burst_timeout_s=1.0
             )
@@ -376,9 +354,7 @@ class TestMultiprocessingAsyncChaos:
         history = result.value_history
         assert history == sorted(history)
 
-    def test_seeded_chaos_solve_keeps_incumbent_monotone(
-        self, small_instance, transport
-    ):
+    def test_seeded_chaos_solve_keeps_incumbent_monotone(self, small_instance):
         plan = FaultPlan.from_seed(
             ENV_SEED,
             n_slaves=N_SLAVES,
@@ -389,10 +365,9 @@ class TestMultiprocessingAsyncChaos:
             delay_rate=0.15,
             straggle_rate=0.2,
         )
-        backend = _chaos_backend(transport, N_SLAVES, plan)
+        backend = _chaos_backend(N_SLAVES, plan)
         with backend:
             backend.start(small_instance, TabuSearchConfig(nb_div=100))
-            _skip_if_degraded(backend, transport)
             result = run_async_master(
                 small_instance, backend, n_slaves=N_SLAVES, burst_timeout_s=2.0
             )

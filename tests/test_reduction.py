@@ -4,8 +4,8 @@ Four layers under test:
 
 * :class:`~repro.core.reduction.FixationPattern` — wire forms (packed
   blocks, pickle, :class:`~repro.parallel.shm.WireCodec` frames) round-trip
-  at word-boundary sizes, and the historical byte forms are preserved when
-  no pattern rides along (the bit-identity anchor).
+  at word-boundary sizes, and the codec frame engages the pattern flag only
+  when a pattern rides along.
 * :func:`~repro.exact.preprocess.reduce_to_core` /
   :class:`~repro.exact.preprocess.Reduction` — Hypothesis round-trips for
   ``lift``/``lift_value`` plus the none-fixed / all-fixed-but-one /
@@ -15,8 +15,8 @@ Four layers under test:
   ever fixed out), and the shared per-process / service-layer caches.
 * :class:`~repro.parallel.runtime.SlaveRuntime` re-core — trivial patterns
   are bit-identical to the unpatterned path, reduced reports lift to
-  feasible full-space solutions, and serial/mp x pipe/shm backends agree
-  at ``core_ratio=0.5``.
+  feasible full-space solutions, and the serial and multiprocessing
+  backends agree at ``core_ratio=0.5``.
 """
 
 from __future__ import annotations
@@ -286,13 +286,6 @@ class TestStrategyCoreKnob:
         assert narrow.core_ratio <= s.core_ratio
         assert 0.4 <= narrow.core_ratio <= wide.core_ratio <= 1.0
 
-    def test_pickle_preserves_historical_form(self):
-        plain = Strategy(8, 2, 10)
-        assert len(plain.__reduce__()[1]) == 3  # the pre-ISSUE-8 wire form
-        cored = Strategy(8, 2, 10, core_ratio=0.5)
-        assert len(cored.__reduce__()[1]) == 4
-        assert pickle.loads(pickle.dumps(cored)).core_ratio == 0.5
-
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             StrategyBounds(core_ratio=(0.0, 1.0))
@@ -315,17 +308,6 @@ def _task(instance, pattern=None, *, seed=42, evals=1_500, core_ratio=1.0):
 
 
 class TestTaskWireForms:
-    def test_pickle_without_pattern_is_byte_identical_to_historical(self):
-        """The bit-identity anchor: no pattern => the pre-ISSUE-8 pickle."""
-        inst = _instance()
-        task = _task(inst)
-        blob = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-        assert b"FixationPattern" not in blob
-        assert b"core_ratio" not in blob
-        rebuilt = pickle.loads(blob)
-        assert rebuilt.pattern is None
-        assert rebuilt.strategy == task.strategy
-
     def test_pickle_round_trips_pattern(self):
         inst = _instance()
         pattern = CoreSelector(inst).pattern(0.5, variant=2)
@@ -411,7 +393,7 @@ class TestRuntimeRecore:
 
 
 class TestCrossBackendIdentity:
-    """core_ratio=0.5 trajectories agree across serial / mp x pipe / shm."""
+    """core_ratio=0.5 trajectories agree across the serial and mp backends."""
 
     _histories: dict = {}
 
@@ -424,10 +406,7 @@ class TestCrossBackendIdentity:
             if backend_spec == "serial":
                 backend = SerialBackend(3)
             else:
-                transport, batch_k = backend_spec
-                backend = MultiprocessingBackend(
-                    3, transport=transport, batch_k=batch_k
-                )
+                backend = MultiprocessingBackend(3)
             try:
                 result = solve_cts2(
                     _instance(),
@@ -446,9 +425,8 @@ class TestCrossBackendIdentity:
             )
         return cls._histories[backend_spec]
 
-    @pytest.mark.parametrize("spec", [("pipe", 1), ("shm", 3)])
-    def test_mp_matches_serial_reference(self, spec):
-        assert self._history(spec) == self._history("serial")
+    def test_mp_matches_serial_reference(self):
+        assert self._history("mp") == self._history("serial")
 
     def test_reduced_run_beats_nothing_silently(self):
         """The reduced incumbent is a valid full-space solution."""

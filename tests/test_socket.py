@@ -11,8 +11,13 @@ Chaos legs (SIGKILL mid-round under both pipelines) live in
 
 from __future__ import annotations
 
+import json
 import os
+import pickle
 import signal
+import socket
+import struct
+import threading
 import time
 
 import pytest
@@ -22,8 +27,10 @@ from repro.core.strategy import Strategy
 from repro.core.tabu_search import TabuSearchConfig
 from repro.core.termination import Budget
 from repro.obs import RunRecorder, validate_stream
-from repro.parallel import SerialBackend, SocketBackend
-from repro.parallel.message import SlaveTask
+from repro.parallel import SerialBackend, SocketBackend, run_worker
+from repro.parallel.backend_socket import HELLO_TAG
+from repro.parallel.message import REBIND_TAG, RESULT_TAG, SlaveTask
+from repro.parallel.shm import encode_problem
 from repro.variants import solve_cts2
 
 CONFIG = TabuSearchConfig(nb_div=100)
@@ -372,3 +379,118 @@ class TestWorkerCli:
                 proc.terminate()
                 proc.join(timeout=5)
         assert proc.exitcode == 0
+
+
+def _frame(tag: int, payload: bytes = b"") -> bytes:
+    return struct.pack("<BI", tag, len(payload)) + payload
+
+
+def _read_frame(sock: socket.socket) -> tuple[int, bytes]:
+    def exact(n: int) -> bytes:
+        buf = b""
+        while len(buf) < n:
+            chunk = sock.recv(n - len(buf))
+            if not chunk:
+                raise EOFError
+            buf += chunk
+        return buf
+
+    tag, length = struct.unpack("<BI", exact(5))
+    return tag, exact(length)
+
+
+def _assert_closed_by_peer(sock: socket.socket, timeout_s: float = 5.0) -> None:
+    """Drain ``sock`` until the peer closes it; a timeout means it never did."""
+    sock.settimeout(timeout_s)
+    try:
+        while sock.recv(4096):
+            pass
+    except ConnectionError:
+        pass
+
+
+class _Tripwire:
+    """Unpickling this object creates ``path``: proof that a peer unpickled it."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+class TestUntrustedPeers:
+    """Nothing a network peer sends is unpickled or trusted to be well formed."""
+
+    def test_pickled_hello_is_refused_without_running(self, small_instance, tmp_path):
+        tripwire = tmp_path / "unpickled"
+        backend = SocketBackend(2, start_timeout_s=1.0)
+        host, port = backend.listen()
+        peer = socket.create_connection((host, port))
+        try:
+            peer.sendall(_frame(HELLO_TAG, pickle.dumps(_Tripwire(str(tripwire)))))
+            _assert_closed_by_peer(peer)
+            with pytest.raises(RuntimeError, match="0/1 workers"):
+                backend.start(small_instance, CONFIG)
+            assert backend.joins == 0
+        finally:
+            peer.close()
+            backend.shutdown()
+        assert not tripwire.exists()
+
+    def test_oversized_hello_is_refused(self, small_instance):
+        backend = SocketBackend(2, start_timeout_s=1.0)
+        host, port = backend.listen()
+        peer = socket.create_connection((host, port))
+        try:
+            oversized = json.dumps({"name": "x" * 5000, "pid": 1}).encode()
+            peer.sendall(_frame(HELLO_TAG, oversized))
+            _assert_closed_by_peer(peer)
+            with pytest.raises(RuntimeError, match="0/1 workers"):
+                backend.start(small_instance, CONFIG)
+        finally:
+            peer.close()
+            backend.shutdown()
+
+    def test_truncated_rebind_is_rejected_by_the_worker(self, small_instance):
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        outcome: list[int] = []
+        worker = threading.Thread(
+            target=lambda: outcome.append(run_worker("127.0.0.1", port, heartbeat_s=30.0)),
+            daemon=True,
+        )
+        worker.start()
+        conn, _ = listener.accept()
+        try:
+            tag, hello = _read_frame(conn)
+            assert tag == HELLO_TAG
+            assert json.loads(hello)["pid"] == os.getpid()
+            frame = encode_problem(small_instance, CONFIG)
+            conn.sendall(_frame(REBIND_TAG, frame[:-8]))
+            worker.join(timeout=10.0)
+            assert not worker.is_alive()
+            assert outcome == [1]
+            _assert_closed_by_peer(conn)
+        finally:
+            conn.close()
+            listener.close()
+
+    def test_malformed_report_frame_buries_the_member(self, small_instance):
+        backend = SocketBackend(2, start_timeout_s=5.0)
+        host, port = backend.listen()
+        peer = socket.create_connection((host, port))
+        try:
+            peer.sendall(_frame(HELLO_TAG, json.dumps({"name": "rogue"}).encode()))
+            backend.start(small_instance, CONFIG)
+            tag, _problem = _read_frame(peer)
+            assert tag == REBIND_TAG
+            peer.sendall(_frame(RESULT_TAG, b"\x04"))
+            assert backend.next_report(timeout_s=5.0) is None
+            assert backend.fault_counters["bad_frame"] == 1
+            assert backend.fault_counters["worker_lost"] == 1
+            assert backend.drain_dead_slaves() == [0, 1]
+            _assert_closed_by_peer(peer)
+        finally:
+            peer.close()
+            backend.shutdown()
