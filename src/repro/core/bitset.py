@@ -218,20 +218,23 @@ class IntegerScanTables:
 class ProfitOrderTables:
     """Suffix bitsets of the profit-sorted item order.
 
-    ``suffix`` row ``p`` packs the items *above* the ``p`` smallest profits;
-    with one ``searchsorted`` against ``sorted_profits`` this yields the set
-    ``{j : c_j > c}`` for any threshold ``c`` — the "richer item" filter of
-    the §3.2 swap intensification as a single word row.  Exact for arbitrary
-    float profits (the binary search performs the same ``<=`` comparisons
-    the elementwise filter would).
+    ``suffix`` row ``p`` packs the items *above* the ``p`` smallest profits,
+    and ``richer_row[j]`` is the number of items with ``c_k <= c_j`` (one
+    ``searchsorted`` against the sorted profits), so row
+    ``suffix[richer_row[j]]`` is the set ``{k : c_k > c_j}`` — the "richer
+    item" filter of the §3.2 swap intensification as a single word row.
+    Exact for arbitrary float profits (the binary search performs the same
+    ``<=`` comparisons the elementwise filter would).  ``order`` is the
+    stable ascending-profit order the swap visits packed items in.
     """
 
-    sorted_profits: np.ndarray  # (n,) float64 ascending
+    order: np.ndarray  # (n,) intp — items by ascending profit, stable
+    richer_row: np.ndarray  # (n,) intp — suffix row of {k : c_k > c_j}
     suffix: np.ndarray  # (n + 1, W) uint64
 
     @property
     def nbytes(self) -> int:
-        return self.sorted_profits.nbytes + self.suffix.nbytes
+        return self.order.nbytes + self.richer_row.nbytes + self.suffix.nbytes
 
 
 @dataclass(frozen=True)
@@ -349,4 +352,8 @@ def _build_profit_tables(profits: np.ndarray) -> ProfitOrderTables:
     units[np.arange(n), order >> 6] = _BIT[order & 63]
     suffix = np.zeros((n + 1, nw), dtype=np.uint64)
     np.bitwise_or.accumulate(units[::-1], axis=0, out=suffix[:n][::-1])
-    return ProfitOrderTables(sorted_profits=profits[order].copy(), suffix=suffix)
+    return ProfitOrderTables(
+        order=order,
+        richer_row=profits[order].searchsorted(profits, side="right"),
+        suffix=suffix,
+    )

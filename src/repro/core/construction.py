@@ -31,18 +31,31 @@ def fill_greedily(state: SearchState, order: np.ndarray | None = None) -> None:
     ``sum_i a_ij / c_j`` (best payoff per unit of aggregate weight first).
     This is the paper's Add step completion rule: "Adding object to the
     knapsack is realized until no object can be added."
+
+    Equivalent to walking ``order`` once and adding each free item that
+    fits, but computed from the kernel's fitting set: each step adds the
+    fitting free item that comes earliest in ``order`` (items absent from
+    ``order`` are never added), until none is left.  The two agree because
+    slack only decreases during a fill, so an item the walk would have
+    passed over can never fit later, and the kernel's fitting test is the
+    walk's own ``a_ij <= slack_i + 1e-9``.
     """
     inst = state.instance
     if order is None:
         order = np.argsort(inst.density, kind="stable")
-    slack = state.slack
-    for j in order:
-        if state.x[j]:
-            continue
-        col = inst.weights[:, j]
-        if np.all(col <= slack + 1e-9):
-            state.add(j)
-            slack = state.slack
+    order = np.asarray(order, dtype=np.intp)
+    # rank[j]: first position of j in order; order.size marks "absent"
+    rank = np.full(inst.n_items, order.size, dtype=np.intp)
+    np.minimum.at(rank, order, np.arange(order.size, dtype=np.intp))
+    while True:
+        fitting = state.fitting_items()
+        if fitting.size == 0:
+            return
+        ranks = rank[fitting]
+        first = int(ranks.argmin())
+        if ranks[first] == order.size:
+            return
+        state.add(int(fitting[first]))
 
 
 def greedy_solution(instance: MKPInstance) -> Solution:

@@ -26,6 +26,11 @@ from .solution import SearchState, Solution
 
 __all__ = ["swap_intensification", "strategic_oscillation", "IntensificationStats"]
 
+#: Packed items the word path of :func:`swap_intensification` tests in one
+#: batched pass.  Most applied swaps are found within the first 16–21
+#: visited items; much larger blocks waste work past the first hit.
+SWAP_BLOCK = 16
+
 
 class IntensificationStats:
     """Bookkeeping shared by both procedures (feeds the farm cost model).
@@ -59,59 +64,88 @@ def swap_intensification(
     state: SearchState,
     stats: IntensificationStats | None = None,
 ) -> Solution:
-    """Apply all improving, feasibility-preserving (1,1)-swaps in place.
+    """Apply improving, feasibility-preserving (1,1)-swaps in place until none is left.
 
     ``state`` should hold ``X_local`` on entry; on exit it holds the swapped
-    solution, which is returned as a snapshot.  Pairs are visited in
-    decreasing order of the profit gain ``c_j - c_i`` so the most promising
-    exchanges land first (the paper fixes no order; any order that applies
+    solution, which is returned as a snapshot.  Packed items ``i`` are
+    visited by ascending profit (stable, so ties go by index); the first
+    ``i`` with an admissible partner is swapped against the most profitable
+    free ``j`` with ``c_j > c_i`` that fits once ``i`` is removed (first
+    maximum by index), and the scan restarts from the cheapest packed item.
+    Every visited ``i`` charges its number of richer free items as
+    evaluations.  The paper fixes no visiting order; any order that applies
     every admissible couple is conformant because each applied swap strictly
-    improves and a pair is only admissible once).
+    improves.
+
+    Integer instances take the word path: :data:`SWAP_BLOCK` packed items
+    are tested per batched pass of the kernel's prefix-bitset tables, and
+    the evaluation charge stops at the first row with a candidate, so the
+    applied swaps and the counts equal those of the elementwise path
+    (pinned by ``tests/test_bitset.py``).
     """
-    inst = state.instance
     stats = stats or IntensificationStats()
+    if state.kernel.use_bitset:
+        _swap_words(state, stats)
+    else:
+        _swap_elementwise(state, stats)
+    return state.snapshot()
+
+
+def _swap_words(state: SearchState, stats: IntensificationStats) -> None:
+    """The word path of :func:`swap_intensification`, one block at a time."""
+    inst = state.instance
     kernel = state.kernel
-    use_words = kernel.use_bitset
-    profit_order = inst.hot.profit_order if use_words else None
+    profits = inst.profits
+    tables = inst.hot.profit_order
+    packed_mask = kernel.x.view(np.bool_)
+    while 0 < kernel.n_packed < inst.n_items:
+        # packed items by ascending profit, stable: the profit order filtered
+        packed = tables.order.compress(packed_mask.take(tables.order))
+        for start in range(0, packed.size, SWAP_BLOCK):
+            block = packed[start : start + SWAP_BLOCK]
+            # Per row: {j free : c_j > c_i} as one suffix-bitset row AND,
+            # then its members that fit the slack with i removed.
+            rows = tables.suffix.take(tables.richer_row.take(block), axis=0)
+            rich = np.bitwise_and(kernel.free_words, rows, out=rows)
+            n_richer = np.bitwise_count(rich).sum(axis=1)
+            cand = kernel.fitting_words_without(block, rich)
+            hits = cand.any(axis=1).nonzero()[0]
+            if hits.size == 0:
+                stats.evaluations += int(n_richer.sum())
+                continue
+            row = int(hits[0])
+            stats.evaluations += int(n_richer[: row + 1].sum())
+            candidates = kernel.decode_words_u8(cand[row].view(np.uint8))
+            j = candidates[int(np.argmax(profits[candidates]))]
+            state.drop(int(block[row]))
+            state.add(int(j))
+            stats.swaps_applied += 1
+            break  # re-derive the packed order after a structural change
+        else:
+            return
+
+
+def _swap_elementwise(state: SearchState, stats: IntensificationStats) -> None:
+    """The reference path of :func:`swap_intensification`, one item at a time."""
+    inst = state.instance
     improved = True
     while improved:
         improved = False
         packed = state.packed_items()
         if packed.size == 0 or state.free_items().size == 0:
             break
-        # For each packed i (cheapest profits first), find the best free j
-        # with c_j > c_i that fits once i is removed.  The word path and the
-        # elementwise path visit the identical candidate sets and charge the
-        # identical evaluation counts (pinned by ``tests/test_bitset.py``).
         for i in packed[np.argsort(inst.profits[packed], kind="stable")]:
-            if use_words:
-                # {j free : c_j > c_i} as one suffix-bitset row AND.
-                cnt = profit_order.sorted_profits.searchsorted(
-                    inst.profits[i], side="right"
-                )
-                rich_words = np.bitwise_and(
-                    kernel.free_words, profit_order.suffix[cnt]
-                )
-                n_richer = int.from_bytes(
-                    rich_words.tobytes(), "little"
-                ).bit_count()
-                if n_richer == 0:
-                    continue
-                stats.evaluations += n_richer
-                cand_words = kernel.fitting_words_without(int(i), rich_words)
-                candidates = kernel.decode_words_u8(cand_words.view(np.uint8))
-            else:
-                slack_without_i = state.slack + inst.weights[:, i]
-                free = state.free_items()
-                richer = free[inst.profits[free] > inst.profits[i]]
-                if richer.size == 0:
-                    continue
-                stats.evaluations += int(richer.size)
-                fits = np.all(
-                    inst.weights[:, richer] <= slack_without_i[:, None] + 1e-9,
-                    axis=0,
-                )
-                candidates = richer[fits]
+            slack_without_i = state.slack + inst.weights[:, i]
+            free = state.free_items()
+            richer = free[inst.profits[free] > inst.profits[i]]
+            if richer.size == 0:
+                continue
+            stats.evaluations += int(richer.size)
+            fits = np.all(
+                inst.weights[:, richer] <= slack_without_i[:, None] + 1e-9,
+                axis=0,
+            )
+            candidates = richer[fits]
             if candidates.size == 0:
                 continue
             j = candidates[int(np.argmax(inst.profits[candidates]))]
@@ -120,7 +154,6 @@ def swap_intensification(
             stats.swaps_applied += 1
             improved = True
             break  # re-derive packed/free sets after a structural change
-    return state.snapshot()
 
 
 def strategic_oscillation(

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitset import WORD_BITS, n_words
+from .bitset import WORD_BITS
 from .instance import MKPInstance
 
 __all__ = ["EvalKernel", "KernelCounters", "drop_ratios", "FIT_EPS"]
@@ -462,25 +462,28 @@ class EvalKernel:
             words &= self._excl_keep
         return words
 
-    def fitting_words_without(self, i: int, mask_words: np.ndarray) -> np.ndarray:
-        """Packed subset of ``mask_words`` fitting the slack with item ``i`` out.
+    def fitting_words_without(self, items: np.ndarray, mask_rows: np.ndarray) -> np.ndarray:
+        """Per item ``i``, the subset of its mask row fitting the slack with ``i`` out.
 
-        The §3.2 swap scan asks, per packed item ``i``, which candidates fit
-        the hypothetical slack ``b - load + a_{·,i}`` — one extra int64 add
-        on the query vector reuses the same prefix-bitmask machinery as
-        :meth:`fitting_words`.  ``mask_words`` must already encode the
-        free-item filter (it replaces the resident free row in the AND);
-        exclusions are deliberately not applied.  Returns kernel scratch —
-        consume before the next fitting scan.  Bitset-mode instances only.
+        The §3.2 swap scan asks, for a block of ``B`` packed items, which
+        candidates fit the hypothetical slack ``b - load + a_{·,i}``.  One
+        ``(m, B)`` int64 add shifts the query vector per item; one clamp,
+        one ``searchsorted`` and one ``cumbits`` gather then feed an
+        AND-reduction over the constraints — the same prefix-bitmask
+        machinery as :meth:`fitting_words`, once per block instead of once
+        per item.  ``mask_rows`` is ``(B, W)`` and must already encode the
+        free-item filter; exclusions are deliberately not applied.  Returns
+        a fresh ``(B, W)`` array.  Bitset-mode instances only.
         """
         tables = self._int
-        q = self._q_buf
-        np.add(self._q_base, tables.weightsT_int[i], out=q)
-        _clip(q, tables.q_lo, tables.q_hi, out=q)
+        # (m, B) layout: the gather is m stacked (B, W) slabs, so the
+        # reduction runs over whole contiguous slabs (a (B, m, W) gather
+        # reduced over its middle axis costs about 3x more)
+        q = np.add(self._q_base[:, None], tables.weightsT_int[items].T)
+        _clip(q, tables.q_lo[:, None], tables.q_hi[:, None], out=q)
         pos = tables.flat_sorted.searchsorted(q, side="right")
-        tables.cumbits.take(pos, axis=0, out=self._and_rows)
-        words = np.bitwise_and.reduce(self._and_rows, axis=0, out=self._fit_words)
-        words &= mask_words
+        words = np.bitwise_and.reduce(tables.cumbits.take(pos, axis=0), axis=0)
+        words &= mask_rows
         return words
 
     def decode_words_u8(self, words_u8: np.ndarray) -> np.ndarray:

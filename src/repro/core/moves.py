@@ -237,8 +237,16 @@ class MoveEngine:
         ratios = kernel.scores(i_star, allowed)
         if self.add_candidates == 1 or allowed.size == 1:
             return int(allowed[_argmin_random_tie(ratios, self.rng)])
+        # The k best by (ratio, position): argmin returns the first minimum
+        # on every host, where argpartition's order among tied ratios
+        # depends on the CPU's SIMD dispatch.
         k = min(self.add_candidates, allowed.size)
-        top = ratios.argpartition(k - 1)[:k]
+        if k == 2:
+            first = int(ratios.argmin())
+            ratios[first] = np.inf  # kernel scratch, consumed here
+            top = (first, int(ratios.argmin()))
+        else:
+            top = ratios.argsort(kind="stable")[:k]
         return int(allowed[top[self.rng.integers(0, k)]])
 
     def add_step(
@@ -277,20 +285,6 @@ class MoveEngine:
         record.added = self.add_step(best_value, exclude=record.dropped)
         self.counters.moves += 1
         return record
-
-
-def _argmax_random_tie(values: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of the maximum, breaking exact ties uniformly at random.
-
-    ``ties[rng.integers(0, ties.size)]`` draws the same variate from the
-    same stream as ``rng.choice(ties)`` (choice reduces to exactly that
-    integer draw for a 1-D array) while skipping choice's per-call argument
-    normalization — measurably cheaper in the move loop.
-    """
-    ties = (values == values.max()).nonzero()[0]
-    if ties.size == 1:
-        return int(ties[0])
-    return int(ties[rng.integers(0, ties.size)])
 
 
 def _argmin_random_tie(values: np.ndarray, rng: np.random.Generator) -> int:

@@ -20,8 +20,10 @@ from repro.core import (
     SearchState,
     Solution,
     TabuList,
+    fill_greedily,
     greedy_solution,
     mean_pairwise_distance,
+    random_solution,
 )
 from repro.core.bitset import (
     bytes_to_words,
@@ -50,9 +52,10 @@ def bit_vectors(n: int):
     )
 
 
-def random_integer_instance(rng: np.random.Generator) -> MKPInstance:
+def random_integer_instance(rng: np.random.Generator, n: int | None = None) -> MKPInstance:
     m = int(rng.integers(2, 8))
-    n = int(rng.integers(5, 90))
+    if n is None:
+        n = int(rng.integers(5, 90))
     weights = rng.integers(1, 50, size=(m, n)).astype(float)
     capacities = (
         weights.sum(axis=1) * rng.uniform(0.3, 0.7, m)
@@ -208,23 +211,129 @@ class TestFittingEquivalence:
             assert records[0] == records[1]
 
 
+def swap_outcome(inst: MKPInstance, x: np.ndarray, use_bitset: bool) -> tuple:
+    state = SearchState(inst, x.copy())
+    state.kernel.use_bitset = use_bitset
+    stats = IntensificationStats()
+    result = swap_intensification(state, stats)
+    return result.x.tobytes(), result.value, stats.evaluations, stats.swaps_applied
+
+
+def after_moves(inst: MKPInstance, x: np.ndarray, n_moves: int, seed: int) -> np.ndarray:
+    """The 0/1 vector reached by ``n_moves`` compound moves from ``x``."""
+    state = SearchState(inst, x.copy())
+    tabu = TabuList(inst.n_items, 5)
+    engine = MoveEngine(state, tabu, np.random.default_rng(seed))
+    best = state.value
+    for _ in range(n_moves):
+        record = engine.apply(2, best)
+        best = max(best, state.value)
+        tabu.tick()
+        if record.touched:
+            tabu.make_tabu(np.asarray(record.touched))
+    return state.x.copy()
+
+
 class TestSwapIntensificationEquivalence:
     def test_word_path_matches_generic(self):
+        # Input states: greedy, random and 20-moves-in solutions on random
+        # instances, plus every word-boundary size.  The block-scanned word
+        # path must apply the same swaps and charge the same evaluations.
         rng = np.random.default_rng(7)
-        for _ in range(15):
+        cases = []
+        for k in range(15):
             inst = random_integer_instance(rng)
-            sol = greedy_solution(inst)
-            out = []
-            for use_bitset in (True, False):
-                state = SearchState(inst, sol.x.copy())
-                state.kernel.use_bitset = use_bitset
-                stats = IntensificationStats()
-                result = swap_intensification(state, stats)
-                out.append(
-                    (result.x.tobytes(), result.value, stats.evaluations,
-                     stats.swaps_applied)
-                )
-            assert out[0] == out[1]
+            rand = random_solution(inst, rng=k).x
+            cases += [
+                (inst, greedy_solution(inst).x),
+                (inst, rand),
+                (inst, after_moves(inst, rand, 20, seed=k)),
+            ]
+        for n in BOUNDARY_SIZES:
+            inst = random_integer_instance(rng, n)
+            cases += [
+                (inst, random_solution(inst, rng=n).x),
+                (inst, after_moves(inst, greedy_solution(inst).x, 20, seed=n)),
+            ]
+        swapped = 0
+        for inst, x in cases:
+            word = swap_outcome(inst, x, use_bitset=True)
+            assert word == swap_outcome(inst, x, use_bitset=False)
+            swapped += word[3] > 0
+        assert swapped > len(cases) // 2  # the cases exercise actual swaps
+
+
+def fill_by_walk(state: SearchState, order: np.ndarray) -> None:
+    """Reference greedy fill: walk ``order`` once, adding each free item that fits."""
+    weights = state.instance.weights
+    slack = state.slack
+    for j in order:
+        if state.x[j]:
+            continue
+        if np.all(weights[:, j] <= slack + 1e-9):
+            state.add(int(j))
+            slack = state.slack
+
+
+class TestFillEquivalence:
+    """``fill_greedily`` against the per-item walk it replaces, on both paths."""
+
+    @staticmethod
+    def check(inst: MKPInstance, x: np.ndarray, order: np.ndarray | None) -> bytes:
+        walk = SearchState(inst, x.copy())
+        fill_by_walk(walk, np.argsort(inst.density, kind="stable") if order is None else order)
+        paths = (True, False) if walk.kernel.use_bitset else (False,)
+        for use_bitset in paths:
+            state = SearchState(inst, x.copy())
+            state.kernel.use_bitset = use_bitset
+            fill_greedily(state, order)
+            assert state.x.tobytes() == walk.x.tobytes()
+            assert state.value == walk.value
+        return walk.x.tobytes()
+
+    def test_orders_match_the_walk(self):
+        rng = np.random.default_rng(31)
+        instances = [random_integer_instance(rng) for _ in range(12)]
+        instances += [random_integer_instance(rng, n) for n in BOUNDARY_SIZES]
+        for inst in instances:
+            n = inst.n_items
+            empty = np.zeros(n, dtype=np.int8)
+            partial = greedy_solution(inst).x.copy()
+            partial[rng.permutation(n)[: n // 2]] = 0  # feasible, not maximal
+            for x in (empty, partial):
+                self.check(inst, x, None)
+                self.check(inst, x, rng.permutation(n))  # full order
+                self.check(inst, x, rng.permutation(n)[: max(1, n // 3)])  # partial
+                # an order made only of packed items adds nothing
+                packed = np.flatnonzero(x)
+                if packed.size:
+                    assert self.check(inst, x, rng.permutation(packed)) == x.tobytes()
+                # packed items mixed into a partial order
+                mixed = np.concatenate([packed, rng.permutation(n)[: n // 2]])
+                self.check(inst, x, rng.permutation(mixed))
+
+    def test_float_instance_matches_the_walk(self):
+        rng = np.random.default_rng(32)
+        weights = rng.uniform(0.1, 5.0, size=(3, 40))
+        inst = MKPInstance(weights, weights.sum(axis=1) * 0.4, rng.uniform(1, 9, 40))
+        assert not SearchState.empty(inst).kernel.use_bitset
+        empty = np.zeros(40, dtype=np.int8)
+        self.check(inst, empty, None)
+        self.check(inst, empty, rng.permutation(40)[:25])
+
+    def test_infeasible_start_adds_nothing(self):
+        rng = np.random.default_rng(33)
+        for _ in range(8):
+            inst = random_integer_instance(rng)
+            state = SearchState(inst, greedy_solution(inst).x.copy())
+            for j in np.flatnonzero(state.x == 0):  # overfill past capacity
+                state.add(int(j))
+                if not state.is_feasible:
+                    break
+            assert not state.is_feasible
+            x = state.x.copy()
+            assert self.check(inst, x, None) == x.tobytes()
+            assert self.check(inst, x, rng.permutation(inst.n_items)) == x.tobytes()
 
 
 # --------------------------------------------------------------------------- #

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core import MoveEngine, SearchState, TabuList, greedy_solution
+import repro
+from repro.core import MKPInstance, MoveEngine, SearchState, TabuList, greedy_solution
 
 
 def make_engine(instance, rng, tenure=3):
@@ -129,8 +136,6 @@ class TestTieBreaking:
     def test_random_ties_follow_rng(self):
         """With an all-symmetric instance, different seeds pick different
         drops — the mechanism that decorrelates parallel threads."""
-        from repro.core import MKPInstance
-
         inst = MKPInstance.from_lists(
             weights=[[1, 1, 1, 1, 1, 1]],
             capacities=[3],
@@ -144,3 +149,68 @@ class TestTieBreaking:
             )
             picks.add(engine.select_drop())
         assert len(picks) > 1
+
+    @pytest.mark.parametrize("breadth", [2, 3])
+    def test_add_ties_resolve_to_lowest_positions(self, breadth):
+        """The Add rule draws from the ``breadth`` best by (ratio, position):
+        with 300 fitting items tied on the ratio, only the lowest indices
+        may come out, whatever order the CPU's partition kernel prefers."""
+        n = 300
+        inst = MKPInstance.from_lists(
+            weights=[[1] * n], capacities=[n], profits=[1] * n
+        )
+        picks = set()
+        for seed in range(24):
+            state = SearchState.empty(inst)
+            engine = MoveEngine(
+                state, TabuList(n, 2), np.random.default_rng(seed),
+                add_candidates=breadth,
+            )
+            picks.add(engine.select_add(best_value=0.0))
+        assert picks == set(range(breadth))
+
+
+#: numpy's AVX-512 dispatch targets; naming them in NPY_DISABLE_CPU_FEATURES
+#: runs the baseline kernels instead (a no-op on hosts without AVX-512).
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+#: Four seeded runs on a heavily tied instance; leaves ``runs`` behind.
+_TIED_RUNS = """
+import numpy as np
+from repro.core import MKPInstance
+from repro.core.strategy import Strategy
+from repro.core.tabu_search import TabuSearch
+from repro.core.termination import Budget
+
+rng = np.random.default_rng(5)
+weights = rng.integers(0, 4, size=(5, 600)).astype(float)
+inst = MKPInstance(
+    weights,
+    np.floor(weights.sum(axis=1) * 0.5),
+    rng.integers(1, 5, size=600).astype(float),
+)
+runs = []
+for seed in range(4):
+    ts = TabuSearch(inst, Strategy(lt_length=7, nb_drop=2, nb_local=20), rng=seed)
+    r = ts.run(budget=Budget(max_evaluations=20_000))
+    runs.append([r.best.value, r.evaluations, r.moves])
+"""
+
+
+class TestHostIndependence:
+    def test_tied_instance_trajectories_ignore_simd_dispatch(self):
+        """Same seed, same trajectory across hosts: a heavily tied 5x600
+        instance (weights 0-3, profits 1-4) gives the same (best,
+        evaluations, moves) per seed with AVX-512 dispatch disabled."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+        )
+        env["NPY_DISABLE_CPU_FEATURES"] = NO_AVX512
+        out = subprocess.run(
+            [sys.executable, "-c", _TIED_RUNS + "print(__import__('json').dumps(runs))"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        namespace: dict = {}
+        exec(_TIED_RUNS, namespace)
+        assert json.loads(out.stdout) == namespace["runs"]
