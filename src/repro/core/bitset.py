@@ -38,6 +38,7 @@ The prefix-bitmask tables (:class:`HotTables`)
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,6 +245,14 @@ class HotTables:
     Built once per :class:`~repro.core.instance.MKPInstance` (lazily, cached
     on the instance) instead of once per kernel: short-lived kernels — one
     per slave task — no longer pay the transpose/divide/table costs.
+
+    Two tables serve the move engine's selection rules.  ``ratio_order[i]``
+    lists the items by ascending ``(a_ij / c_j, j)`` — equal ratios are
+    contiguous and in ascending index order — so the bitset Add rule finds
+    its best-ratio admissible items by walking the list against a
+    Python-int admissible set instead of gathering and ranking ratios.
+    ``ratio_twin[i, j]`` is True iff another item of row ``i`` has exactly
+    the ratio of ``j``; a Drop whose first maximum has no twin cannot tie.
     """
 
     weightsT: np.ndarray  # (n, m) float64 C-contiguous
@@ -252,6 +261,8 @@ class HotTables:
     profits_list: list  # python-float profits (scalar reads without numpy boxing)
     integer: IntegerScanTables | None  # None => generic elementwise scans
     profit_order: ProfitOrderTables | None
+    ratio_order: list | None  # m python lists of item indices; bitset mode only
+    ratio_twin: np.ndarray  # (m, n) bool — the row holds this ratio elsewhere
 
     @property
     def nbytes(self) -> int:
@@ -266,7 +277,13 @@ class HotTables:
             total += self.integer.nbytes
         if self.profit_order is not None:
             total += self.profit_order.nbytes
-        return total
+        if self.ratio_order is not None:
+            # list slots plus the int objects they point to (each row's
+            # ``tolist`` boxes its own ints; ints below 257 are shared)
+            n = self.ratio_matrix.shape[1]
+            boxed = max(0, n - 257) * sys.getsizeof(n)
+            total += sum(sys.getsizeof(row) + boxed for row in self.ratio_order)
+        return total + self.ratio_twin.nbytes
 
     @staticmethod
     def build(
@@ -278,11 +295,15 @@ class HotTables:
         m, n = weights.shape
         weightsT = np.ascontiguousarray(weights.T)
         ratio_matrix = weights / profits
+        # a stable sort orders equal ratios by index: the (ratio, j) order
+        order = np.argsort(ratio_matrix, axis=1, kind="stable")
         integer = None
         profit_order = None
+        ratio_order = None
         if _integer_scan_applicable(weights, capacities, max_table_bytes):
             integer = _build_integer_tables(weightsT)
             profit_order = _build_profit_tables(profits)
+            ratio_order = order.tolist()
         return HotTables(
             weightsT=weightsT,
             ratio_matrix=ratio_matrix,
@@ -290,6 +311,8 @@ class HotTables:
             profits_list=profits.tolist(),
             integer=integer,
             profit_order=profit_order,
+            ratio_order=ratio_order,
+            ratio_twin=_ratio_twins(ratio_matrix, order),
         )
 
 
@@ -307,6 +330,18 @@ def _integer_scan_applicable(
     if np.any(capacities != np.floor(capacities)):
         return False
     return True
+
+
+def _ratio_twins(ratio_matrix: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``(m, n)`` bool: ``ratio_matrix[i, j]`` occurs elsewhere in row ``i``."""
+    ranked = np.take_along_axis(ratio_matrix, order, axis=1)
+    same = ranked[:, 1:] == ranked[:, :-1]
+    twin_ranked = np.zeros(ratio_matrix.shape, dtype=bool)
+    twin_ranked[:, 1:] |= same
+    twin_ranked[:, :-1] |= same
+    twin = np.empty_like(twin_ranked)
+    np.put_along_axis(twin, order, twin_ranked, axis=1)
+    return twin
 
 
 def _cumulative_prefix_words(order: np.ndarray, n: int, nw: int) -> np.ndarray:

@@ -20,6 +20,7 @@ candidate scoring goes through the state's preallocated
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,9 @@ from .solution import SearchState
 from .tabu_list import TabuList
 
 __all__ = ["MoveEngine", "MoveRecord"]
+
+#: Signature of a bit generator's ``next_uint32``, called with the GIL held.
+_NEXT_UINT32 = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
 
 
 @dataclass
@@ -94,13 +98,48 @@ class MoveEngine:
         #: zero-copy bool view of the kernel's 0/1 vector (0/1 int8 is a
         #: valid bool buffer) — the packed-item mask without a compare
         self._x_bool = state.kernel.x.view(np.bool_)
-        #: admissible-add word scratch (bitset-mode kernels only)
-        if state.kernel._fit_words is not None:
-            self._allowed_words = np.empty_like(state.kernel._fit_words)
-            self._allowed_words_u8 = self._allowed_words.view(np.uint8)
-        else:
-            self._allowed_words = None
-            self._allowed_words_u8 = None
+        #: the instance's shared tables: ratio order and twins, profits list
+        self._hot = state.kernel.hot
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """Tie-breaking source; assigning one drops the cached raw draw."""
+        return self._rng
+
+    @rng.setter
+    def rng(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        #: the bit generator's ``next_uint32`` and state address, bound on
+        #: the first draw (binding costs ~20 µs, so backend start skips it)
+        self._next_uint32 = None
+        self._rng_state = 0
+
+    def _draw(self, k: int) -> int:
+        """``int(self.rng.integers(0, k))``, drawn straight from the bit generator.
+
+        For ``2 <= k <= 2**32`` numpy's bounded draw is Lemire's
+        multiply-shift with rejection over ``next_uint32`` outputs; this
+        replays it — same outputs consumed, same value returned — at a
+        fraction of a ``Generator.integers`` call (pinned draw for draw by
+        ``tests/test_moves.py::TestDirectDraw``).  It calls the bit
+        generator's C function directly and so bypasses the Generator's
+        lock; that is safe because each engine's generator is private to
+        its search thread (and the call holds the GIL).
+        """
+        if not 2 <= k <= 0x100000000:
+            return int(self._rng.integers(0, k))
+        next_uint32 = self._next_uint32
+        if next_uint32 is None:
+            raw = self._rng.bit_generator.ctypes
+            next_uint32 = self._next_uint32 = ctypes.cast(raw.next_uint32, _NEXT_UINT32)
+            self._rng_state = raw.state_address
+        state = self._rng_state
+        m = next_uint32(state) * k
+        if (m & 0xFFFFFFFF) < k:
+            threshold = (0xFFFFFFFF - (k - 1)) % k
+            while (m & 0xFFFFFFFF) < threshold:
+                m = next_uint32(state) * k
+        return m >> 32
 
     @property
     def evaluations(self) -> int:
@@ -124,11 +163,13 @@ class MoveEngine:
 
         One whole-neighborhood masked pass: packed-and-non-tabu is a single
         boolean expression over all n items, the precomputed ratio row is
-        masked to -inf off-candidates, and the argmax ties are read off the
-        full score vector.  The tie set (ascending item indices) and the
-        number of ``rng`` draws are exactly those of the historical
-        candidate-list scan, so trajectories are bit-identical (pinned by
-        ``tests/test_golden_trajectory.py``).
+        masked to -inf off-candidates, and ``argmax`` gives the first
+        maximum.  When no other item of the row shares its ratio
+        (``hot.ratio_twin``) it is the unique maximum; otherwise the ties
+        are read off the full score vector.  The tie set (ascending item
+        indices) and the number of ``rng`` draws are exactly those of the
+        historical candidate-list scan, so trajectories are bit-identical
+        (pinned by ``tests/test_golden_trajectory.py``).
         """
         kernel = self.state.kernel
         if kernel.n_packed == 0:
@@ -144,11 +185,14 @@ class MoveEngine:
         scores.fill(-np.inf)
         np.copyto(scores, kernel.ratio_row(i_star), where=mask)
         self.counters.move_evaluations += count
-        np.equal(scores, scores.max(), out=mask)
+        j = int(scores.argmax())
+        if not self._hot.ratio_twin[i_star, j]:
+            return j
+        np.equal(scores, scores[j], out=mask)
         ties = mask.nonzero()[0]
         if ties.size == 1:
-            return int(ties[0])
-        return int(ties[self.rng.integers(0, ties.size)])
+            return j
+        return int(ties[self._draw(ties.size)])
 
     def drop_step(self, nb_drop: int) -> list[int]:
         """Perform up to ``nb_drop`` drops; returns the dropped indices."""
@@ -180,63 +224,70 @@ class MoveEngine:
         ``exclude`` bars items unconditionally — the compound move passes
         the indices it just dropped, since the tabu list is only updated
         *after* the move (Fig. 1 step 9) and re-adding a just-dropped item
-        would turn the move into a no-op.  (:meth:`add_step` installs the
-        exclusion mask once for the whole pass; this entry point re-installs
-        it per call for standalone use.)
+        would turn the move into a no-op.  This standalone entry point
+        installs them as the kernel's exclusion mask; :meth:`add_step`
+        excludes them without touching the kernel on bitset-mode kernels.
         """
         self.state.kernel.set_exclusions(exclude)
         return self._select_add(best_value)
 
-    def _select_add(self, best_value: float) -> int | None:
-        """The Add selection rule against the kernel's current exclusions.
+    def _select_add(self, best_value: float, keep: int = -1) -> int | None:
+        """The Add selection rule against the kernel's exclusions and ``keep``.
 
-        On bitset-mode kernels the tabu filter happens at the word level —
-        fitting words AND non-tabu words — and only the admissible set is
-        ever decoded to indices; the generic path filters the decoded
-        fitting array with the boolean mask.  Both produce the identical
-        ascending ``allowed`` array (and charge the identical fitting-set
-        size), so the scoring and tie-breaking below are path-independent.
+        Bitset-mode kernels work on Python ints: the fitting set (ANDed
+        with the ``keep`` bit mask, which bars the Add pass's exclusions)
+        is charged by popcount, ANDed with the tabu list's non-tabu int,
+        and — failing that — filtered by aspiration bit by bit.  The
+        ``k = min(add_candidates, |allowed|)`` best items by (ratio, index)
+        are then the first ``k`` admissible entries of the precomputed
+        ``hot.ratio_order[i*]``, and for ``add_candidates == 1`` the tie set
+        is the run of equal ratios starting at the first admissible entry.
+        The generic path scores the decoded candidates with numpy and stays
+        the reference: both paths charge the same fitting-set size and
+        draw the same item with the same ``rng`` consumption (pinned by
+        ``tests/test_bitset.py::TestFittingEquivalence``).
         """
         kernel = self.state.kernel
         if kernel.use_bitset:
-            fit_words = kernel.fitting_words()
-            # popcount via one arbitrary-precision int: cheaper than a numpy
-            # reduction at word counts this small
-            n_fitting = int.from_bytes(fit_words.tobytes(), "little").bit_count()
+            fit = int.from_bytes(kernel.fitting_words().tobytes(), "little") & keep
+            n_fitting = fit.bit_count()
             if n_fitting == 0:
                 return None
             self.counters.move_evaluations += n_fitting
-            nontabu_words = self.tabu.nontabu_words()
-            np.bitwise_and(fit_words, nontabu_words, out=self._allowed_words)
-            allowed = kernel.decode_words_u8(self._allowed_words_u8)
-            if allowed.size == 0:
-                # Aspiration: a tabu add is allowed if it beats the incumbent.
-                tabu_items = kernel.decode_words_u8(
-                    np.bitwise_and(fit_words, ~nontabu_words).view(np.uint8)
-                )
-                gains = kernel.value + self.state.instance.profits[tabu_items]
-                aspire = tabu_items[gains > best_value]
-                if aspire.size == 0:
+            allowed = fit & self.tabu.nontabu_int()
+            if not allowed:
+                # Aspiration: every fitting item is tabu; admit those whose
+                # addition beats the incumbent.
+                value = kernel.value
+                profits = self._hot.profits_list
+                while fit:
+                    low = fit & -fit
+                    if value + profits[low.bit_length() - 1] > best_value:
+                        allowed |= low
+                    fit ^= low
+                if not allowed:
                     return None
-                allowed = aspire
-        else:
-            fitting = kernel.fitting_items()
-            if fitting.size == 0:
+            size = allowed.bit_count()
+            if size == 1:
+                return allowed.bit_length() - 1
+            return self._walk_ratio_order(kernel.most_saturated_constraint(), allowed, size)
+        fitting = kernel.fitting_items()
+        if fitting.size == 0:
+            return None
+        self.counters.move_evaluations += fitting.size
+        nontabu = self.tabu.nontabu_mask()[fitting]
+        allowed = fitting[nontabu]
+        if allowed.size == 0:
+            tabu_items = fitting[~nontabu]
+            gains = kernel.value + self.state.instance.profits[tabu_items]
+            aspire = tabu_items[gains > best_value]
+            if aspire.size == 0:
                 return None
-            self.counters.move_evaluations += fitting.size
-            nontabu = self.tabu.nontabu_mask()[fitting]
-            allowed = fitting[nontabu]
-            if allowed.size == 0:
-                tabu_items = fitting[~nontabu]
-                gains = kernel.value + self.state.instance.profits[tabu_items]
-                aspire = tabu_items[gains > best_value]
-                if aspire.size == 0:
-                    return None
-                allowed = aspire
+            allowed = aspire
         i_star = kernel.most_saturated_constraint()
         ratios = kernel.scores(i_star, allowed)
         if self.add_candidates == 1 or allowed.size == 1:
-            return int(allowed[_argmin_random_tie(ratios, self.rng)])
+            return int(allowed[self._argmin_random_tie(ratios)])
         # The k best by (ratio, position): argmin returns the first minimum
         # on every host, where argpartition's order among tied ratios
         # depends on the CPU's SIMD dispatch.
@@ -247,28 +298,71 @@ class MoveEngine:
             top = (first, int(ratios.argmin()))
         else:
             top = ratios.argsort(kind="stable")[:k]
-        return int(allowed[top[self.rng.integers(0, k)]])
+        return int(allowed[top[self._draw(k)]])
+
+    def _walk_ratio_order(self, i_star: int, allowed: int, size: int) -> int:
+        """Draw among the best admissible items of ``allowed`` (``size >= 2``)."""
+        items = iter(self._hot.ratio_order[i_star])
+        for j in items:
+            if allowed >> j & 1:
+                break
+        if self.add_candidates == 1:
+            row = self.state.kernel.ratio_row(i_star)
+            ratio = row[j]
+            ties = [j]
+            for t in items:
+                if row[t] != ratio:
+                    break
+                if allowed >> t & 1:
+                    ties.append(t)
+            return j if len(ties) == 1 else ties[self._draw(len(ties))]
+        k = min(self.add_candidates, size)
+        top = [j]
+        for t in items:
+            if allowed >> t & 1:
+                top.append(t)
+                if len(top) == k:
+                    break
+        return top[self._draw(k)]
 
     def add_step(
         self, best_value: float, exclude: set[int] | None = None
     ) -> list[int]:
         """Add items until none can be added; returns the added indices.
 
-        The exclusion mask is written once for the whole pass, and the
-        kernel's fitting pool shrinks monotonically across the adds — the
-        two properties that make the Add loop cheap on large instances.
+        On bitset-mode kernels the exclusions are a Python-int ``keep`` mask
+        ANDed into each fitting set, so the kernel's exclusion mask is never
+        written (the pass starts by clearing a mask a standalone
+        :meth:`select_add` may have left, a no-op otherwise).  The generic
+        path installs the kernel's mask once for the whole pass, and its
+        fitting pool shrinks monotonically across the adds.
         """
         kernel = self.state.kernel
-        kernel.set_exclusions(exclude)
+        bitset = kernel.use_bitset
+        keep = -1
+        if bitset:
+            kernel.clear_exclusions()
+            for j in () if exclude is None else exclude:
+                keep &= ~(1 << int(j))
+        else:
+            kernel.set_exclusions(exclude)
         added: list[int] = []
         while True:
-            j = self._select_add(best_value)
+            j = self._select_add(best_value, keep)
             if j is None:
                 break
             kernel.add(j)
             added.append(j)
-        kernel.clear_exclusions()
+        if not bitset:
+            kernel.clear_exclusions()
         return added
+
+    def _argmin_random_tie(self, values: np.ndarray) -> int:
+        """Index of the minimum, breaking exact ties uniformly at random."""
+        ties = (values == values.min()).nonzero()[0]
+        if ties.size == 1:
+            return int(ties[0])
+        return int(ties[self._draw(ties.size)])
 
     # ------------------------------------------------------------------ #
     # Compound move
@@ -285,11 +379,3 @@ class MoveEngine:
         record.added = self.add_step(best_value, exclude=record.dropped)
         self.counters.moves += 1
         return record
-
-
-def _argmin_random_tie(values: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of the minimum, breaking exact ties uniformly at random."""
-    ties = (values == values.min()).nonzero()[0]
-    if ties.size == 1:
-        return int(ties[0])
-    return int(ties[rng.integers(0, ties.size)])

@@ -44,14 +44,15 @@ class TabuList:
         #: cached ``expiry > clock`` over all items; -1 marks it stale.  The
         #: hot path queries the mask several times per move against the same
         #: clock, so one full compare per move replaces one gather+compare
-        #: per candidate scan.
+        #: per candidate scan.  The Drop rule reads the boolean ``_nontabu``;
+        #: the bitset Add rule reads its Python-int mirror below.
         self._mask = np.zeros(n_items, dtype=bool)
         self._nontabu = np.ones(n_items, dtype=bool)
         self._mask_clock = -1
-        #: packed uint64 mirror of ``_nontabu`` (lazily allocated; used by the
-        #: word-level Add scan of bitset-mode kernels), with its own clock
-        self._nontabu_words: np.ndarray | None = None
-        self._words_clock = -1
+        #: Python-int mirror of ``_nontabu`` (bit ``j`` set iff item ``j`` is
+        #: not tabu) for the bitset Add rule, with its own clock
+        self._nontabu_int = 0
+        self._int_clock = -1
 
     # ------------------------------------------------------------------ #
     # Clock
@@ -78,13 +79,13 @@ class TabuList:
         until = self._clock + self.tenure + int(extra_tenure)
         self._expiry[items] = np.maximum(self._expiry[items], until)
         self._mask_clock = -1
-        self._words_clock = -1
+        self._int_clock = -1
 
     def clear(self) -> None:
         """Forget all tabu statuses (used at diversification restarts)."""
         self._expiry[:] = 0
         self._mask_clock = -1
-        self._words_clock = -1
+        self._int_clock = -1
 
     def set_tenure(self, tenure: int) -> None:
         """Change ``Lt_length`` (the master's SGP retunes this dynamically)."""
@@ -98,15 +99,15 @@ class TabuList:
         Unlike :meth:`clear` — which forgets tabu statuses but keeps the
         clock running — this rewinds the clock to zero, so a reused list is
         indistinguishable from ``TabuList(n_items, tenure)``.  The expiry
-        array, mask caches and packed-word mirror are reset in place, never
-        reallocated.
+        array is zeroed in place, never reallocated, and both mask caches
+        are marked stale.
         """
         if tenure is not None:
             self.set_tenure(tenure)
         self._expiry[:] = 0
         self._clock = 0
         self._mask_clock = -1
-        self._words_clock = -1
+        self._int_clock = -1
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -131,25 +132,19 @@ class TabuList:
             self._refresh_masks()
         return self._nontabu
 
-    def nontabu_words(self) -> np.ndarray:
-        """Packed ``uint64`` mirror of :meth:`nontabu_mask` (do not mutate).
+    def nontabu_int(self) -> int:
+        """Python-int mirror of :meth:`nontabu_mask`: bit ``j`` set iff ``j`` is not tabu.
 
-        Refreshed at most once per clock/mutation — the word-level Add scan
-        queries it several times per move, so the packbits cost amortizes
-        the same way the boolean mask cache does.  Tail bits beyond
+        Refreshed at most once per clock/mutation, like the boolean mask —
+        the bitset Add rule queries it once per Add, and ANDs it with the
+        kernel's fitting set as plain integers.  Bits at and beyond
         ``n_items`` are zero.
         """
-        if self._words_clock != self._clock:
-            mask = self.nontabu_mask()
-            words = self._nontabu_words
-            if words is None:
-                nw = (self.n_items + 63) >> 6
-                words = np.zeros(nw, dtype=np.uint64)
-                self._nontabu_words = words
-            packed = np.packbits(mask, bitorder="little")
-            words.view(np.uint8)[: packed.size] = packed
-            self._words_clock = self._clock
-        return self._nontabu_words
+        if self._int_clock != self._clock:
+            packed = np.packbits(self.nontabu_mask(), bitorder="little")
+            self._nontabu_int = int.from_bytes(packed.tobytes(), "little")
+            self._int_clock = self._clock
+        return self._nontabu_int
 
     def tabu_mask(self, items: np.ndarray | None = None) -> np.ndarray:
         """Boolean tabu mask over ``items`` (all items when ``None``).

@@ -1,7 +1,8 @@
 """Tests for the packed-bitset codec layer (``repro.core.bitset``) and the
 exactness contract of everything built on it: codec round-trips (Hypothesis),
-the prefix-bitmask fitting scan vs. the generic float path, the word-level
-swap intensification, the packed Hamming/dispersion statistics, the
+the prefix-bitmask fitting scan vs. the generic float path, the
+ratio-order and ratio-twin move-selection tables, the word-level swap
+intensification, the packed Hamming/dispersion statistics, the
 :class:`Solution` wire codec, and the ``set_exclusions`` no-op short-circuit.
 """
 
@@ -188,27 +189,97 @@ class TestFittingEquivalence:
         # The strongest equivalence statement: same seeds, same instance,
         # whole compound-move trajectories coincide move for move —
         # including the shared evaluation ledger the farm model charges.
+        # The bitset Add rule walks ``hot.ratio_order``; the generic path
+        # ranks numpy ratios and is the reference, for the tie run of
+        # breadth 1, the two-argmin pick of breadth 2 and the stable sort
+        # of breadth 3 alike.  Heavily tied instances exercise the tie run.
         rng = np.random.default_rng(12)
-        for _ in range(5):
-            inst = random_integer_instance(rng)
+        instances = [random_integer_instance(rng) for _ in range(5)]
+        instances += [tied_integer_instance(rng, n) for n in (40, 64, 130)]
+        for inst in instances:
             x0 = greedy_solution(inst).x
-            records = []
-            for use_bitset in (True, False):
-                state = SearchState(inst, x0.copy())
-                state.kernel.use_bitset = use_bitset
-                tabu = TabuList(inst.n_items, 5)
-                engine = MoveEngine(state, tabu, np.random.default_rng(99))
-                best = state.value
-                trace = []
-                for _move in range(40):
-                    record = engine.apply(2, best)
-                    best = max(best, state.value)
-                    tabu.tick()
-                    if record.touched:
-                        tabu.make_tabu(np.asarray(record.touched))
-                    trace.append((tuple(record.dropped), tuple(record.added)))
-                records.append((trace, state.value, engine.evaluations))
-            assert records[0] == records[1]
+            for breadth in (1, 2, 3):
+                records = []
+                for use_bitset in (True, False):
+                    state = SearchState(inst, x0.copy())
+                    state.kernel.use_bitset = use_bitset
+                    tabu = TabuList(inst.n_items, 5)
+                    engine = MoveEngine(
+                        state, tabu, np.random.default_rng(99), add_candidates=breadth
+                    )
+                    best = state.value
+                    trace = []
+                    for _move in range(40):
+                        record = engine.apply(2, best)
+                        best = max(best, state.value)
+                        tabu.tick()
+                        if record.touched:
+                            tabu.make_tabu(np.asarray(record.touched))
+                        trace.append((tuple(record.dropped), tuple(record.added)))
+                    records.append(
+                        (trace, state.value, engine.evaluations, engine.rng.random())
+                    )
+                assert records[0] == records[1], (inst.shape, breadth)
+
+
+def tied_integer_instance(rng: np.random.Generator, n: int) -> MKPInstance:
+    """Weights 0-3 and profits 1-4: most ratios recur many times per row."""
+    m = int(rng.integers(2, 6))
+    weights = rng.integers(0, 4, size=(m, n)).astype(float)
+    capacities = np.floor(weights.sum(axis=1) * 0.5) + 1
+    profits = rng.integers(1, 5, size=n).astype(float)
+    return MKPInstance(weights, capacities, profits)
+
+
+# --------------------------------------------------------------------------- #
+# Move-selection tables: ratio order and ratio twins
+# --------------------------------------------------------------------------- #
+class TestRatioTables:
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(31)
+        for n in (1, 63, 64, 65):
+            yield random_integer_instance(rng, n)
+            yield tied_integer_instance(rng, n)
+            # one row with every ratio tied, one row with distinct ratios
+            weights = np.vstack([np.full(n, 3.0), np.arange(1, n + 1, dtype=float)])
+            yield MKPInstance(weights, weights.sum(axis=1), np.full(n, 2.0))
+
+    def test_ratio_order_sorts_by_ratio_then_index(self):
+        for inst in self.instances():
+            hot = inst.hot
+            for i, order in enumerate(hot.ratio_order):
+                assert sorted(order) == list(range(inst.n_items))
+                keys = [(hot.ratio_matrix[i, j], j) for j in order]
+                assert keys == sorted(keys)
+
+    def test_ratio_twin_marks_repeated_ratios(self):
+        for inst in self.instances():
+            ratios = inst.hot.ratio_matrix
+            expected = (ratios[:, :, None] == ratios[:, None, :]).sum(axis=2) > 1
+            assert np.array_equal(inst.hot.ratio_twin, expected)
+
+    def test_float_instance_has_twins_but_no_order(self):
+        inst = MKPInstance(
+            weights=np.array([[0.5, 1.0, 2.0]]),
+            capacities=np.array([2.5]),
+            profits=np.array([1.0, 2.0, 3.0]),
+        )
+        assert inst.hot.ratio_order is None
+        assert inst.hot.ratio_twin.tolist() == [[True, True, False]]
+
+    def test_nbytes_counts_the_selection_tables(self):
+        inst = random_integer_instance(np.random.default_rng(32), 200)
+        hot = inst.hot
+        m, n = inst.shape
+        others = (
+            hot.weightsT.nbytes
+            + hot.ratio_matrix.nbytes
+            + hot.integer.nbytes
+            + hot.profit_order.nbytes
+        )
+        # the twin table plus at least one pointer slot per ratio_order entry
+        assert hot.nbytes >= others + hot.ratio_twin.nbytes + m * n * 8
 
 
 def swap_outcome(inst: MKPInstance, x: np.ndarray, use_bitset: bool) -> tuple:

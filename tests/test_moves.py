@@ -88,14 +88,16 @@ class TestAddRule:
         assert engine.select_add(best_value=1e12) is None
 
     def test_aspiration_admits_tabu_item(self, small_instance, rng):
-        engine, state, tabu = make_engine(small_instance, rng)
-        engine.drop_step(1)
-        fitting = state.fitting_items()
-        tabu.make_tabu(fitting)
-        # incumbent low enough that any add beats it
-        j = engine.select_add(best_value=state.value)
-        assert j is not None
-        assert tabu.is_tabu(j)
+        for use_bitset in (True, False):
+            engine, state, tabu = make_engine(small_instance, rng)
+            state.kernel.use_bitset = use_bitset
+            engine.drop_step(1)
+            fitting = state.fitting_items()
+            tabu.make_tabu(fitting)
+            # incumbent low enough that any add beats it
+            j = engine.select_add(best_value=state.value)
+            assert j is not None
+            assert tabu.is_tabu(j)
 
 
 class TestCompoundMove:
@@ -130,6 +132,27 @@ class TestCompoundMove:
         engine, state, _ = make_engine(small_instance, rng)
         record = engine.apply(0, best_value=state.value)
         assert record.dropped == []
+
+    def test_bitset_pass_leaves_no_exclusions(self, small_instance, rng):
+        """The bitset Add pass bars the just-dropped items with a Python-int
+        keep mask: the kernel's exclusion mask stays empty, yet no dropped
+        item comes straight back."""
+        engine, state, tabu = make_engine(small_instance, rng, tenure=0)
+        assert state.kernel.use_bitset
+        best = state.value
+        for _ in range(60):
+            record = engine.apply(2, best)
+            best = max(best, state.value)
+            assert state.kernel._n_excluded == 0
+            assert not set(record.dropped) & set(record.added)
+
+    def test_add_step_clears_a_standalone_exclusion(self, small_instance, rng):
+        engine, state, _ = make_engine(small_instance, rng)
+        engine.drop_step(2)
+        engine.select_add(best_value=float("inf"), exclude={0, 1})
+        assert state.kernel._n_excluded == 2
+        engine.add_step(best_value=float("inf"))
+        assert state.kernel._n_excluded == 0
 
 
 class TestTieBreaking:
@@ -168,6 +191,45 @@ class TestTieBreaking:
             )
             picks.add(engine.select_add(best_value=0.0))
         assert picks == set(range(breadth))
+
+
+class TestDirectDraw:
+    """``MoveEngine._draw`` replays ``Generator.integers(0, k)`` draw for draw.
+
+    It calls the bit generator's ``next_uint32`` and applies numpy's bounded
+    (Lemire) rule itself, so a numpy release that changes the sampler must
+    fail here rather than silently move every golden trajectory.
+    """
+
+    SIZES = (2, 3, 5, 7, 17, 100, 2**31 + 11, 3 * 2**30, 2**32, 2**32 + 1, 1)
+
+    def test_draws_and_stream_match_integers(self, small_instance):
+        state = SearchState.empty(small_instance)
+        for seed in range(200):
+            engine = MoveEngine(
+                state, TabuList(small_instance.n_items, 0), np.random.default_rng(seed)
+            )
+            reference = np.random.default_rng(seed)
+            for step in range(300):
+                k = self.SIZES[(seed + step) % len(self.SIZES)]
+                assert engine._draw(k) == int(reference.integers(0, k))
+                if step % 7 == 0:
+                    assert engine.rng.random() == reference.random()
+                if step % 50 == 0:
+                    assert np.array_equal(engine.rng.permutation(9), reference.permutation(9))
+            assert engine.rng.bit_generator.state == reference.bit_generator.state
+
+    def test_reassigned_generator_is_used(self, small_instance):
+        state = SearchState.empty(small_instance)
+        engine = MoveEngine(
+            state, TabuList(small_instance.n_items, 0), np.random.default_rng(1)
+        )
+        engine._draw(1000)  # binds generator 1's raw draw
+        engine.rng = np.random.default_rng(2)
+        reference = np.random.default_rng(2)
+        assert [engine._draw(1000) for _ in range(20)] == [
+            int(reference.integers(0, 1000)) for _ in range(20)
+        ]
 
 
 #: numpy's AVX-512 dispatch targets; naming them in NPY_DISABLE_CPU_FEATURES
